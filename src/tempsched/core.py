@@ -134,9 +134,6 @@ class Instance:
                 return i
         raise InputError(f"unknown job id: {job_id!r}")
 
-    def is_normalized(self) -> bool:
-        return all(j.threshold is None or j.threshold == 1 for j in self.jobs)
-
     def has_common_rates(self) -> bool:
         """True when every job shares one (alpha, beta) pair."""
         if not self.jobs:

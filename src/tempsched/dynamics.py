@@ -44,15 +44,18 @@ class Violation:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    feasible: bool
+    """The verdict on a schedule, with the trajectory it was judged on."""
+
     violations: tuple[Violation, ...]
     completions: dict[str, Fraction]
     missing: tuple[str, ...]
     objective_sum: Fraction | None
     makespan: Fraction | None
+    trajectory: Trajectory
 
-    def __post_init__(self):
-        assert self.feasible == (not self.violations)
+    @property
+    def feasible(self) -> bool:
+        return not self.violations
 
 
 def _segment_grid(
@@ -239,10 +242,10 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> FeasibilityRepo
         makespan = max(completions.values(), default=Fraction(0))
 
     return FeasibilityReport(
-        feasible=not violations,
         violations=tuple(violations),
         completions=completions,
         missing=tuple(missing),
         objective_sum=objective_sum,
         makespan=makespan,
+        trajectory=traj,
     )

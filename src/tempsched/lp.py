@@ -7,13 +7,15 @@ emits that polyhedron's constraints together with either the
 sum-of-completions or the makespan objective; `extract_schedule` turns an
 optimal assignment back into a `NormalSchedule`.
 
-Indices inside the LP are completion positions: variable W_2_1 is the work
-done on the job completing first, measured at the second completion time.
+Indices inside the LP are completion positions: W_1_2 is the work done on
+the job completing second, measured at the first completion time. Work on
+a job already complete is its processing time, so only W_i_j with i < j
+is a variable of the LP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping, Sequence
 
@@ -43,15 +45,10 @@ class LpProblem:
     variables: tuple[str, ...]
     objective: tuple[Fraction, ...]
     constraints: tuple[Constraint, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.objective) != len(self.variables):
             raise InputError("objective length must match variable count")
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.variables)})
-
-    def index_of(self, name: str) -> int:
-        return self._index[name]
 
     def violated_constraints(self, values: Mapping[str, Fraction]) -> list[str]:
         """Names of constraints (or nonnegativity bounds) the assignment
@@ -86,15 +83,27 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
     """Emit the exact LP for the best normal schedule completing jobs in
     `order` (instance indices, first to complete first).
 
-    Constraint families, with positions i and 1-based names:
-      * work_monotone: cumulative work never decreases between breakpoints;
-      * pin: a job's work equals its processing time from its completion on;
-      * manage: per interval, total new work fits in m machine-time;
-      * order: completion times are nondecreasing;
-      * rate (only m > 1): per interval, one job gets at most one machine;
-      * temp_start / temp_step: the temperature recursion lower-bounds the
-        witness T over each interval;
-      * temp_cap: the witness stays at or below the threshold 1.
+    Positions i and j are 1-based: job j completes j-th. From its
+    completion on a job's cumulative work is its processing time, so
+    W_i_j = p_j for i >= j is a constant, not a variable. Only the live
+    variables are declared, in this column order:
+      * C_i, the i-th completion time;
+      * W_i_j for i < j, the work done on job j by C_i, row by row;
+      * T_i_j, the temperature witness of job j at C_i.
+    Pinned work terms move to the right-hand side.
+
+    Constraint families, in emission order:
+      * work_monotone_i_j (i <= j): work never decreases between
+        breakpoints; for i = j it caps W_(j-1)_j at p_j;
+      * manage_i: per interval, total new work fits in m machine-time;
+      * order_i: completion times are nondecreasing;
+      * rate_i_j (only m > 1, j >= i): per interval, a running job gets
+        at most one machine (for a completed job, j < i, this is order_i);
+      * temp_start_j / temp_step_i_j: the temperature recursion
+        lower-bounds the witness T over each interval;
+      * temp_cap_i_j: the witness stays at or below the threshold 1.
+    With one job, rate_1_1 (C_1 >= p_1) implies manage_1 (m C_1 >= p_1),
+    so a one-job LP is built with m = 1: manage_1 is then that rate row.
     """
     instance = normalize(instance)
     n = instance.n
@@ -104,80 +113,72 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
         raise InputError(f"order must be a permutation of 0..{n - 1}")
     if objective not in ("sum", "makespan"):
         raise InputError(f"unknown objective {objective!r}")
-    m = instance.machines
+    m = instance.machines if n > 1 else 1
     jobs = [instance.jobs[k] for k in order]  # jobs[j-1] completes j-th
 
     names: list[str] = [f"C_{i}" for i in range(1, n + 1)]
-    names += [f"W_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    names += [f"W_{i}_{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     names += [f"T_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    t_base = n + n * (n - 1) // 2
 
     def C(i: int) -> int:
         return i - 1
 
-    def W(i: int, j: int) -> int:
-        return n + (i - 1) * n + (j - 1)
+    def W(i: int, j: int, coeff: Fraction) -> tuple[int | None, Fraction]:
+        """The term coeff * W_i_j; column None marks the constant coeff * p_j."""
+        if i < j:
+            return n + (i - 1) * (2 * n - i) // 2 + (j - i - 1), coeff
+        return None, coeff * jobs[j - 1].p
 
     def T(i: int, j: int) -> int:
-        return n + n * n + (i - 1) * n + (j - 1)
+        return t_base + (i - 1) * n + (j - 1)
 
     one = Fraction(1)
     cons: list[Constraint] = []
 
+    def emit(name: str, terms, rhs: Fraction = Fraction(0)) -> None:
+        coeffs = []
+        for col, c in terms:
+            if col is None:
+                rhs -= c
+            else:
+                coeffs.append((col, c))
+        cons.append(Constraint(name, tuple(coeffs), "<=", rhs))
+
     for j in range(1, n + 1):
-        for i in range(2, n + 1):
-            cons.append(Constraint(
-                f"work_monotone_{i}_{j}",
-                ((W(i - 1, j), one), (W(i, j), -one)),
-                "<=", Fraction(0),
-            ))
-    for j in range(1, n + 1):
-        for i in range(j, n + 1):
-            cons.append(Constraint(
-                f"pin_{i}_{j}", ((W(i, j), one),), "==", jobs[j - 1].p,
-            ))
+        for i in range(2, j + 1):
+            emit(f"work_monotone_{i}_{j}", (W(i - 1, j, one), W(i, j, -one)))
     for i in range(1, n + 1):
-        coeffs = [(W(i, j), one) for j in range(1, n + 1)]
+        terms = [W(i, j, one) for j in range(1, n + 1)]
         if i > 1:
-            coeffs += [(W(i - 1, j), -one) for j in range(1, n + 1)]
-            coeffs += [(C(i), Fraction(-m)), (C(i - 1), Fraction(m))]
+            terms += [W(i - 1, j, -one) for j in range(1, n + 1)]
+            terms += [(C(i), Fraction(-m)), (C(i - 1), Fraction(m))]
         else:
-            coeffs += [(C(i), Fraction(-m))]
-        cons.append(Constraint(f"manage_{i}", tuple(coeffs), "<=", Fraction(0)))
+            terms += [(C(i), Fraction(-m))]
+        emit(f"manage_{i}", terms)
     for i in range(2, n + 1):
-        cons.append(Constraint(
-            f"order_{i}", ((C(i - 1), one), (C(i), -one)), "<=", Fraction(0),
-        ))
+        emit(f"order_{i}", ((C(i - 1), one), (C(i), -one)))
     if m > 1:
         for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                coeffs = [(W(i, j), one), (C(i), -one)]
+            for j in range(i, n + 1):
+                terms = [W(i, j, one), (C(i), -one)]
                 if i > 1:
-                    coeffs += [(W(i - 1, j), -one), (C(i - 1), one)]
-                cons.append(Constraint(f"rate_{i}_{j}", tuple(coeffs), "<=", Fraction(0)))
+                    terms += [W(i - 1, j, -one), (C(i - 1), one)]
+                emit(f"rate_{i}_{j}", terms)
     for j in range(1, n + 1):
         a, b = jobs[j - 1].alpha, jobs[j - 1].beta
-        cons.append(Constraint(
-            f"temp_start_{j}",
-            ((C(1), a), (W(1, j), b - a), (T(1, j), -one)),
-            "<=", Fraction(0),
-        ))
+        emit(f"temp_start_{j}", ((C(1), a), W(1, j, b - a), (T(1, j), -one)))
     for i in range(2, n + 1):
         for j in range(1, n + 1):
             a, b = jobs[j - 1].alpha, jobs[j - 1].beta
-            cons.append(Constraint(
-                f"temp_step_{i}_{j}",
-                (
-                    (C(i), a), (C(i - 1), -a),
-                    (W(i, j), b - a), (W(i - 1, j), -(b - a)),
-                    (T(i, j), -one), (T(i - 1, j), one),
-                ),
-                "<=", Fraction(0),
+            emit(f"temp_step_{i}_{j}", (
+                (C(i), a), (C(i - 1), -a),
+                W(i, j, b - a), W(i - 1, j, -(b - a)),
+                (T(i, j), -one), (T(i - 1, j), one),
             ))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            cons.append(Constraint(
-                f"temp_cap_{i}_{j}", ((T(i, j), one),), "<=", Fraction(1),
-            ))
+            emit(f"temp_cap_{i}_{j}", ((T(i, j), one),), one)
 
     obj = [Fraction(0)] * len(names)
     if objective == "sum":
@@ -191,9 +192,9 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
 
 def constraint_count(n: int, machines: int) -> int:
     """Closed-form size of the constraint list emitted by build_order_lp."""
-    count = (7 * n * n + 3 * n) // 2 - 1
-    if machines > 1:
-        count += n * n
+    count = (5 * n * n + 3 * n) // 2 - 1
+    if machines > 1 and n > 1:
+        count += n * (n + 1) // 2
     return count
 
 
@@ -201,11 +202,10 @@ def extract_schedule(
     instance: Instance, order: Sequence[int], solution: LpSolution
 ) -> NormalSchedule:
     """Turn an optimal order-LP assignment into the corresponding normal
-    schedule (work columns mapped back to instance job indices, the T
-    values kept as the feasibility witness)."""
+    schedule (work columns mapped back to instance job indices, pinned
+    work filled in from p, the T values kept as the feasibility witness)."""
     if solution.status != "optimal":
         raise NoScheduleError(f"no schedule available: solver status is {solution.status}")
-    instance = normalize(instance)
     n = instance.n
     order = tuple(order)
     a = solution.assignment
@@ -214,8 +214,9 @@ def extract_schedule(
     temps = [[Fraction(0)] * n for _ in range(n)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            work[i - 1][order[j - 1]] = a[f"W_{i}_{j}"]
-            temps[i - 1][order[j - 1]] = a[f"T_{i}_{j}"]
+            k = order[j - 1]
+            work[i - 1][k] = a[f"W_{i}_{j}"] if i < j else instance.jobs[k].p
+            temps[i - 1][k] = a[f"T_{i}_{j}"]
     schedule = NormalSchedule(
         order=order,
         completions=completions,

@@ -14,122 +14,16 @@ rule reads only signs, within-row ratios (compared by cross-multiplying)
 and basis indices, all unchanged by positive row factors, so the pivots,
 the vertex and the value are those of the rational tableau. Values
 become `Fraction`s only when the optimal vertex is read off.
-
-A small semantics-preserving presolve runs before the tableau is built:
-variables pinned by single-variable equality rows are substituted out
-(the per-order scheduling LPs pin about half their work variables that
-way) and rows that became duplicates of one another collapse to the
-tightest representative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
 
 from .lp import LpProblem, LpSolution
 
 _MAX_PIVOTS = 1_000_000
-
-
-class _Infeasible(Exception):
-    pass
-
-
-class _Unbounded(Exception):
-    pass
-
-
-def _presolve(problem: LpProblem):
-    """Fix variables pinned by singleton equality rows and drop the rows.
-
-    Returns (rows, fixed, free_zero) where rows hold only live constraints
-    as (coeff dict, relation, rhs), `fixed` maps variable index to its
-    forced value, and `free_zero` lists variables left in no constraint.
-    Raises _Infeasible/_Unbounded when presolve alone settles the problem.
-    """
-    rows = [
-        {
-            "coeffs": {v: c for v, c in con.coeffs if c != 0},
-            "rel": con.relation,
-            "rhs": con.rhs,
-        }
-        for con in problem.constraints
-    ]
-    fixed: dict[int, Fraction] = {}
-
-    def drop_trivial(row) -> bool:
-        if row["coeffs"]:
-            return False
-        if row["rel"] == "==" and row["rhs"] != 0:
-            raise _Infeasible
-        if row["rel"] == "<=" and row["rhs"] < 0:
-            raise _Infeasible
-        return True
-
-    live = [r for r in rows if not drop_trivial(r)]
-    while True:
-        pinned = None
-        for r in live:
-            if r["rel"] == "==" and len(r["coeffs"]) == 1:
-                (var, coeff), = r["coeffs"].items()
-                pinned = (var, r["rhs"] / coeff)
-                break
-        if pinned is None:
-            break
-        var, value = pinned
-        if value < 0:
-            raise _Infeasible
-        fixed[var] = value
-        for r in live:
-            if var in r["coeffs"]:
-                r["rhs"] -= r["coeffs"].pop(var) * value
-        live = [r for r in live if not drop_trivial(r)]
-
-    live = _drop_duplicate_rows(live)
-
-    used = {v for r in live for v in r["coeffs"]}
-    free_zero = []
-    for v in range(len(problem.variables)):
-        if v in fixed or v in used:
-            continue
-        if problem.objective[v] < 0:
-            raise _Unbounded
-        free_zero.append(v)
-    return live, fixed, free_zero
-
-
-def _drop_duplicate_rows(live):
-    """Collapse rows equal up to positive scaling, keeping the tightest rhs.
-
-    After pin substitution the scheduling LPs emit many copies of the same
-    inequality (the per-job rate caps of completed jobs all reduce to the
-    completion-order row), so this pays for itself.
-    """
-    kept: dict = {}
-    order = []
-    for r in live:
-        items = sorted(r["coeffs"].items())
-        scale = abs(items[0][1])
-        key = (r["rel"], tuple((v, c / scale) for v, c in items))
-        rhs = r["rhs"] / scale
-        if key not in kept:
-            kept[key] = rhs
-            order.append(key)
-        elif r["rel"] == "<=":
-            kept[key] = min(kept[key], rhs)
-        elif kept[key] != rhs:
-            raise _Infeasible
-    out = []
-    for key in order:
-        rel, coeffs = key
-        out.append({
-            "coeffs": dict(coeffs),
-            "rel": rel,
-            "rhs": kept[key],
-        })
-    return out
 
 
 def _eliminate(row, prow, col):
@@ -222,29 +116,20 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     Returns an optimal vertex assignment covering every variable, or a
     solution object whose status reports infeasibility/unboundedness.
     """
-    try:
-        live, fixed, free_zero = _presolve(problem)
-    except _Infeasible:
-        return LpSolution("infeasible", None, {})
-    except _Unbounded:
-        return LpSolution("unbounded", None, {})
-
-    for v in free_zero:
-        fixed.setdefault(v, Fraction(0))
-
-    remaining = sorted({v for r in live for v in r["coeffs"]})
-    col_of = {v: k for k, v in enumerate(remaining)}
-    nstruct = len(remaining)
-
-    if not live:
-        assignment = _full_assignment(problem, fixed, {}, remaining)
-        return LpSolution("optimal", problem.objective_value(assignment), assignment)
+    nstruct = len(problem.variables)
 
     # Column layout: structural vars, one slack/surplus per inequality,
     # then artificials; the RHS sits in column `rhs_col`, after all of them.
     specs = []
-    for r in live:
-        coeffs, rel, rhs = r["coeffs"], r["rel"], r["rhs"]
+    for con in problem.constraints:
+        coeffs = {v: c for v, c in con.coeffs if c != 0}
+        rel, rhs = con.relation, con.rhs
+        if coeffs:
+            # Phase 1 weighs each artificial by its row's scale, so the
+            # scale fixes the pivots: divide by the lowest-index magnitude.
+            scale = abs(coeffs[min(coeffs)])
+            coeffs = {v: c / scale for v, c in coeffs.items()}
+            rhs = rhs / scale
         if rhs < 0:
             rhs = -rhs
             coeffs = {v: -c for v, c in coeffs.items()}
@@ -261,8 +146,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     art_idx = art_base
     art_cols = []
     for coeffs, rel, rhs in specs:
-        row = {col_of[v]: c for v, c in coeffs.items()}
-        row[rhs_col] = rhs
+        row = {**coeffs, rhs_col: rhs}
         if rel == "<=":
             row[slack_idx] = 1
             basis.append(slack_idx)
@@ -301,32 +185,13 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             rows = [rows[i] for i in keep]
             basis = [basis[i] for i in keep]
 
-    objective = {col_of[v]: c for v, c in enumerate(problem.objective) if v in col_of}
-    cost = _reduced_costs(objective, rows, basis)
+    cost = _reduced_costs(dict(enumerate(problem.objective)), rows, basis)
     status, _ = _run_simplex(rows, cost, basis, rhs_col, banned)
     if status == "unbounded":
         return LpSolution("unbounded", None, {})
 
-    tableau_values: dict[int, Fraction] = {}
-    for row, b in zip(rows, basis):
-        if b < nstruct:
-            tableau_values[remaining[b]] = Fraction(row.get(rhs_col, 0), row[b])
-    assignment = _full_assignment(problem, fixed, tableau_values, remaining)
+    values = {
+        b: Fraction(row.get(rhs_col, 0), row[b]) for row, b in zip(rows, basis) if b < nstruct
+    }
+    assignment = {name: values.get(v, Fraction(0)) for v, name in enumerate(problem.variables)}
     return LpSolution("optimal", problem.objective_value(assignment), assignment)
-
-
-def _full_assignment(
-    problem: LpProblem,
-    fixed: Mapping[int, Fraction],
-    solved: Mapping[int, Fraction],
-    remaining,
-) -> dict[str, Fraction]:
-    values = {}
-    for v, name in enumerate(problem.variables):
-        if v in solved:
-            values[name] = solved[v]
-        elif v in fixed:
-            values[name] = fixed[v]
-        else:
-            values[name] = Fraction(0)
-    return values

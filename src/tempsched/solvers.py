@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from .core import Instance, InputError, Job, NormalSchedule, normalize
-from .lp import Objective, build_order_lp, extract_schedule
+from .lp import NoScheduleError, Objective, build_order_lp, extract_schedule
 from .simplex import solve_lp
 
 DEFAULT_BRUTE_CAP = 7
@@ -55,8 +55,6 @@ def solve_sum(instance: Instance) -> tuple[NormalSchedule, Fraction]:
         )
     order = spt_order(instance)
     solution = solve_lp(build_order_lp(instance, order, "sum"))
-    if solution.status != "optimal":
-        raise RuntimeError(f"order LP unexpectedly {solution.status}")
     return extract_schedule(instance, order, solution), solution.value
 
 
@@ -75,7 +73,7 @@ def _best_order(
     for perm in itertools.permutations(range(instance.n)):
         solution = solve_lp(build_order_lp(instance, perm, objective))
         if solution.status != "optimal":
-            raise RuntimeError(f"order LP unexpectedly {solution.status}")
+            raise NoScheduleError(f"order LP {perm} is {solution.status}")
         if best is None or solution.value < best[1]:
             best = (perm, solution.value, solution)
     return best
@@ -91,7 +89,7 @@ def solve_sum_bruteforce(
     (lexicographically smallest) optimum, so the result is deterministic.
     """
     order, value, solution = _best_order(instance, "sum", cap)
-    return extract_schedule(normalize(instance), order, solution), value, order
+    return extract_schedule(instance, order, solution), value, order
 
 
 def min_makespan_over_orders(
@@ -110,8 +108,7 @@ def min_makespan_single(job: Job) -> Fraction:
     exactly p. Otherwise the best schedule finishes with the temperature
     exactly at the threshold, giving p * (1 - beta/alpha) + 1/alpha.
     """
-    if job.threshold is not None and job.threshold != 1:
-        job = Job(job.id, job.p, job.alpha / job.threshold, job.beta / job.threshold)
+    (job,) = normalize(Instance((job,))).jobs
     if job.beta * job.p <= 1:
         return job.p
     return job.p * (1 - job.beta / job.alpha) + 1 / job.alpha

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tempsched import load_schedule, parse_instance
+from tempsched import LpSolution, cli, dynamics, load_schedule, parse_instance
 from tempsched.cli import main
 
 F = Fraction
@@ -54,6 +54,11 @@ class TestSolveSum:
     def test_explicit_order(self, twin_file, capsys):
         assert main(["solve-sum", twin_file, "--order", "j2,j1"]) == 0
         assert "sum of completion times: 10" in capsys.readouterr().out
+
+    def test_explicit_order_non_optimal_lp_exit_2(self, twin_file, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "solve_lp", lambda problem: LpSolution("infeasible", None, {}))
+        assert main(["solve-sum", twin_file, "--order", "j2,j1"]) == 2
+        assert "infeasible" in capsys.readouterr().err
 
     def test_brute(self, twin_file, capsys):
         assert main(["solve-sum", twin_file, "--order", "brute"]) == 0
@@ -156,6 +161,23 @@ class TestVerifyAndSimulate:
         csv_path = tmp_path / "out.csv"
         assert main(["simulate", twin_file, sched, "--csv", str(csv_path)]) == 0
         assert csv_path.exists()
+
+    def test_verify_artifacts_reuse_the_checked_trajectory(self, twin_file, tmp_path, monkeypatch):
+        calls = []
+        simulate = dynamics.simulate
+
+        def counting(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(dynamics, "simulate", counting)
+        monkeypatch.setattr(cli, "simulate", counting)
+        sched = _write(tmp_path, "nat.json", NAIVE_NATURAL)
+        csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+        argv = ["verify", twin_file, sched, "--csv", str(csv_path), "--svg", str(svg_path)]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert csv_path.exists() and svg_path.exists()
 
     def test_malformed_schedule_exit_2(self, twin_file, tmp_path):
         sched = _write(tmp_path, "bad.json", {"kind": "normal", "order": ["j1"]})

@@ -27,12 +27,14 @@ F = Fraction
 class TestBuildOrderLp:
     def test_golden_two_job_lp(self, twin_instance):
         prob = build_order_lp(twin_instance, (0, 1), "sum")
-        assert len(prob.constraints) == constraint_count(2, 1) == 16
+        assert len(prob.constraints) == constraint_count(2, 1) == 12
+        assert prob.variables == ("C_1", "C_2", "W_1_2", "T_1_1", "T_1_2", "T_2_1", "T_2_2")
         by_name = {c.name: c for c in prob.constraints}
         start = by_name["temp_start_1"]
         coeffs = {prob.variables[i]: c for i, c in start.coeffs}
-        assert coeffs == {"C_1": F(-1, 3), "W_1_1": F(4, 3), "T_1_1": F(-1)}
-        assert by_name["pin_1_1"].rhs == 2
+        # W_1_1 = p_1 = 2 is pinned: its 4/3 * 2 moves to the right-hand side
+        assert coeffs == {"C_1": F(-1, 3), "T_1_1": F(-1)}
+        assert start.rhs == F(-8, 3)
         assert by_name["temp_cap_2_2"].rhs == 1
 
     def test_single_easy_job_completes_at_p(self):
@@ -49,7 +51,26 @@ class TestBuildOrderLp:
                 for objective in ("sum", "makespan"):
                     prob = build_order_lp(inst, tuple(range(n)), objective)
                     assert len(prob.constraints) == constraint_count(n, m)
-                    assert len(prob.variables) == 2 * n * n + n
+                    assert len(prob.variables) == n + n * (n - 1) // 2 + n * n
+
+    def test_emitted_rows_need_no_presolve(self):
+        # no empty row, no variable pinned by a one-variable equality, and no
+        # two rows equal up to a positive factor
+        rng = random.Random(10)
+        for n in range(1, 7):
+            for m in (1, 2, 3):
+                inst = random_instance(rng, n, m, common_rates=False)
+                for objective in ("sum", "makespan"):
+                    prob = build_order_lp(inst, tuple(rng.sample(range(n), n)), objective)
+                    seen = set()
+                    for con in prob.constraints:
+                        coeffs = sorted((i, c) for i, c in con.coeffs if c != 0)
+                        assert coeffs, con.name
+                        assert not (con.relation == "==" and len(coeffs) == 1), con.name
+                        scale = abs(coeffs[0][1])
+                        key = (con.relation, tuple((i, c / scale) for i, c in coeffs))
+                        assert key not in seen, con.name
+                        seen.add(key)
 
     def test_empty_instance_rejected(self):
         with pytest.raises(InputError):
@@ -86,8 +107,8 @@ class TestSolveGoldenLp:
         sol = solve_lp(prob)
         assert prob.violated_constraints(sol.assignment) == []
         broken = dict(sol.assignment)
-        broken["W_1_1"] = F(99)
-        assert prob.violated_constraints(broken)
+        broken["W_1_2"] = F(99)
+        assert "work_monotone_2_2" in prob.violated_constraints(broken)
 
     def test_extract_requires_optimal(self, twin_instance):
         with pytest.raises(NoScheduleError):
@@ -187,6 +208,7 @@ class TestLpText:
         text = lp_text(prob)
         assert text.startswith("Minimize")
         assert "obj: C_1 + C_2" in text
-        assert "pin_1_1: W_1_1 = 2" in text
-        assert "-1/3 C_1 + 4/3 W_1_1 - T_1_1 <= 0" in text
+        assert "work_monotone_2_2: W_1_2 <= 2" in text
+        assert "temp_start_1: -1/3 C_1 - T_1_1 <= -8/3" in text
+        assert "temp_start_2: -1/3 C_1 + 4/3 W_1_2 - T_1_2 <= 0" in text
         assert text.rstrip().endswith("End")

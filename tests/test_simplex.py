@@ -76,6 +76,15 @@ class TestBasics:
         assert sol.status == "optimal"
         assert sol.value == 4
 
+    def test_empty_row_never_satisfied_is_infeasible(self):
+        prob = _lp(("x",), (F(1),), [Constraint("never", (), "<=", F(-1))])
+        assert solve_lp(prob).status == "infeasible"
+
+    def test_empty_row_always_satisfied_is_dropped(self):
+        prob = _lp(("x",), (F(1),), [Constraint("always", (), "==", F(0))])
+        sol = solve_lp(prob)
+        assert (sol.status, sol.value, sol.assignment) == ("optimal", 0, {"x": F(0)})
+
     def test_two_variable_classic(self):
         # min -(3x + 5y) s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6)
         prob = _lp(("x", "y"), (F(-3), F(-5)), [

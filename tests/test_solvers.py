@@ -10,6 +10,8 @@ from tempsched import (
     Instance,
     InputError,
     Job,
+    LpSolution,
+    NoScheduleError,
     build_order_lp,
     check_feasibility,
     min_makespan_over_orders,
@@ -19,6 +21,7 @@ from tempsched import (
     solve_sum,
     solve_sum_bruteforce,
     spt_order,
+    solvers,
 )
 from tempsched.generate import random_instance
 
@@ -102,6 +105,14 @@ class TestBruteForce:
             assert any(
                 all(ps[o[i]] <= ps[o[i + 1]] for i in range(2)) for o in winners
             )
+
+
+class TestNonOptimalOrderLp:
+    def test_every_order_lp_solver_raises_no_schedule_error(self, twin_instance, monkeypatch):
+        monkeypatch.setattr(solvers, "solve_lp", lambda problem: LpSolution("infeasible", None, {}))
+        for solve in (solve_sum, solve_sum_bruteforce, min_makespan_over_orders):
+            with pytest.raises(NoScheduleError):
+                solve(twin_instance)
 
 
 class TestMinMakespanSingle:
