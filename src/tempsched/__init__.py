@@ -50,6 +50,7 @@ from .lp import (
     LpProblem,
     LpSolution,
     NoScheduleError,
+    PivotLimitError,
     build_order_lp,
     constraint_count,
     extract_schedule,
@@ -87,6 +88,7 @@ __all__ = [
     "NoScheduleError",
     "NormalSchedule",
     "NotSliceableError",
+    "PivotLimitError",
     "SchedulingError",
     "SliceLimitError",
     "Trajectory",

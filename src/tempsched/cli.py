@@ -138,14 +138,13 @@ def _cmd_discretize(args) -> int:
     schedule = load_schedule(args.schedule, instance)
     if not isinstance(schedule, NormalSchedule):
         raise InputError("discretize needs a normal schedule file")
+    scaled = gamma_scale(schedule, args.gamma)
     if args.k is not None:
-        scaled = gamma_scale(schedule, args.gamma)
-        natural = time_slice(instance, scaled, args.k)
         k_used = args.k
+        natural = time_slice(instance, scaled, k_used)
+        report = check_feasibility(instance, natural)
     else:
-        natural, k_used = discretize_auto(instance, schedule, args.gamma)
-        scaled = gamma_scale(schedule, args.gamma)
-    report = check_feasibility(instance, natural)
+        natural, k_used, report = discretize_auto(instance, schedule, args.gamma)
     print(f"gamma: {rational_str(args.gamma)}")
     print(f"k: {k_used}")
     print(f"feasible: {'yes' if report.feasible else 'no'}")

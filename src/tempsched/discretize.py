@@ -31,7 +31,7 @@ from .core import (
     natural_from_intervals,
     normalize,
 )
-from .dynamics import check_feasibility
+from .dynamics import FeasibilityReport, check_feasibility
 
 DEFAULT_K_CEILING = 2**20
 
@@ -104,10 +104,10 @@ def discretize_auto(
     schedule: NormalSchedule,
     gamma: RationalLike,
     k_ceiling: int = DEFAULT_K_CEILING,
-) -> tuple[NaturalSchedule, int]:
+) -> tuple[NaturalSchedule, int, FeasibilityReport]:
     """Gamma-scale, then double k from 1 until the sliced schedule passes
-    the feasibility check; returns the first feasible natural schedule and
-    the k that produced it.
+    the feasibility check; returns the first feasible natural schedule, the
+    k that produced it, and the report that accepted it.
 
     Termination is guaranteed for feasible input and gamma > 1 because the
     stretched schedule's peak temperature sits strictly below the threshold
@@ -126,8 +126,9 @@ def discretize_auto(
     k = 1
     while k <= k_ceiling:
         candidate = time_slice(instance, scaled, k)
-        if check_feasibility(instance, candidate).feasible:
-            return candidate, k
+        report = check_feasibility(instance, candidate)
+        if report.feasible:
+            return candidate, k, report
         k *= 2
     raise SliceLimitError(
         f"no feasible slicing found up to k={k_ceiling}; gamma may be too "

@@ -1,11 +1,14 @@
 """Exact simulation of job temperatures under a schedule.
 
-Within a constant-load segment a job's temperature moves linearly at
-alpha*(1 - s) + beta*s until it reaches 0, where it clamps (a cooling job
-stops cooling at 0). Clamp instants are computed analytically and inserted
-as extra breakpoints, so the resulting trajectory is exactly piecewise
-linear between breakpoints and all feasibility questions reduce to checks
-at the breakpoints.
+Within a constant-load segment [a, b) a job's temperature moves linearly at
+r = alpha*(1 - s) + beta*s until it reaches 0, where it clamps (a cooling
+job stops cooling at 0): starting from T at a, it is max(0, T + r*(t - a))
+at t. The simulator walks the segments once and evaluates this closed form
+at b and at every clamp instant a + T/(-r) inside (a, b), so the trajectory
+is exactly piecewise linear between breakpoints and all feasibility
+questions reduce to checks at the breakpoints. A natural schedule's
+segments are the union of its span endpoints; each job's 0/1 loads come
+from one sweep over its sorted spans.
 """
 
 from __future__ import annotations
@@ -75,19 +78,23 @@ def _segment_grid(
         unknown = sorted(set(schedule.intervals) - known)
         if unknown:
             raise InputError(f"schedule names unknown job(s): {', '.join(unknown)}")
-        events = sorted(
+        if schedule.is_empty():
+            return [], [[] for _ in range(n)]
+        boundaries = sorted(
             {Fraction(0)}
             | {t for spans in schedule.intervals.values() for span in spans for t in span}
         )
-        if schedule.is_empty():
-            return [], [[] for _ in range(n)]
-        boundaries = events
         loads = []
         for job in instance.jobs:
+            # Every span endpoint is a boundary, and the spans are sorted and
+            # disjoint, so one index walks them alongside the boundaries.
             spans = schedule.for_job(job.id)
             row = []
+            idx = 0
             for a in boundaries[:-1]:
-                on = any(s <= a < e for s, e in spans)
+                while idx < len(spans) and spans[idx][1] <= a:
+                    idx += 1
+                on = idx < len(spans) and spans[idx][0] <= a
                 row.append(Fraction(1) if on else Fraction(0))
             loads.append(row)
         return boundaries, loads
@@ -103,81 +110,38 @@ def simulate(instance: Instance, schedule: Schedule) -> Trajectory:
     instance = normalize(instance)
     boundaries, seg_loads = _segment_grid(instance, schedule)
     n = instance.n
-    if not boundaries:
-        empty: tuple[Fraction, ...] = ()
-        return Trajectory(
-            job_ids=instance.job_ids,
-            breakpoints=(),
-            loads=tuple(empty for _ in range(n)),
-            temperatures=tuple(empty for _ in range(n)),
-            works=tuple(empty for _ in range(n)),
-        )
+    zero = Fraction(0)
+    breakpoints = boundaries[:1]
+    temperatures: list[list[Fraction]] = [[zero] if boundaries else [] for _ in range(n)]
+    works: list[list[Fraction]] = [[zero] if boundaries else [] for _ in range(n)]
+    loads: list[list[Fraction]] = [[] for _ in range(n)]
 
-    # Per-job temperature knots; clamp instants become extra knots.
-    temp_knots: list[list[tuple[Fraction, Fraction]]] = []
-    for j, job in enumerate(instance.jobs):
-        knots = [(boundaries[0], Fraction(0))]
-        temp = Fraction(0)
-        for k in range(len(boundaries) - 1):
-            a, b = boundaries[k], boundaries[k + 1]
-            s = seg_loads[j][k]
-            slope = job.alpha * (1 - s) + job.beta * s
-            if temp == 0 and slope <= 0:
-                temp = Fraction(0)
-            elif slope < 0 and temp > 0:
-                hit = a + temp / (-slope)
-                if hit < b:
-                    knots.append((hit, Fraction(0)))
-                    temp = Fraction(0)
-                else:
-                    temp = temp + slope * (b - a)
-            else:
-                temp = temp + slope * (b - a)
-            knots.append((b, temp))
-        temp_knots.append(knots)
-
-    grid = sorted({t for knots in temp_knots for t, _ in knots})
-
-    temperatures = []
-    works = []
-    loads_out = []
-    seg_of = {}  # grid segment index -> original segment index
-    pos = 0
-    for k, t in enumerate(grid[:-1]):
-        while boundaries[pos + 1] <= t:
-            pos += 1
-        seg_of[k] = pos
-
-    for j, job in enumerate(instance.jobs):
-        knots = temp_knots[j]
-        temps_row = []
-        idx = 0
-        for t in grid:
-            while idx + 1 < len(knots) and knots[idx + 1][0] <= t:
-                idx += 1
-            t0, v0 = knots[idx]
-            if t == t0:
-                temps_row.append(v0)
-            else:
-                t1, v1 = knots[idx + 1]
-                temps_row.append(v0 + (v1 - v0) * (t - t0) / (t1 - t0))
-        temperatures.append(tuple(temps_row))
-
-        work_row = [Fraction(0)]
-        load_row = []
-        for k in range(len(grid) - 1):
-            s = seg_loads[j][seg_of[k]]
-            load_row.append(s)
-            work_row.append(work_row[-1] + s * (grid[k + 1] - grid[k]))
-        works.append(tuple(work_row))
-        loads_out.append(tuple(load_row))
+    # One pass over the segments. On [a, b) job j starts at temperature T and
+    # work W and runs at load s, so at t its temperature is
+    # max(0, T + r*(t - a)) with r = alpha*(1 - s) + beta*s, and its work is
+    # W + s*(t - a). Breakpoints are b plus the instants a + T/(-r) at which
+    # a cooling job reaches 0 inside (a, b).
+    for k in range(len(boundaries) - 1):
+        a, b = boundaries[k], boundaries[k + 1]
+        s = [seg_loads[j][k] for j in range(n)]
+        r = [job.alpha * (1 - sj) + job.beta * sj for job, sj in zip(instance.jobs, s)]
+        temp = [row[-1] for row in temperatures]
+        work = [row[-1] for row in works]
+        clamps = {a + temp[j] / -r[j] for j in range(n) if r[j] < 0 < temp[j]}
+        for t in sorted({c for c in clamps if c < b} | {b}):
+            breakpoints.append(t)
+            dt = t - a
+            for j in range(n):
+                temperatures[j].append(max(zero, temp[j] + r[j] * dt))
+                works[j].append(work[j] + s[j] * dt)
+                loads[j].append(s[j])
 
     return Trajectory(
         job_ids=instance.job_ids,
-        breakpoints=tuple(grid),
-        loads=tuple(loads_out),
-        temperatures=tuple(temperatures),
-        works=tuple(works),
+        breakpoints=tuple(breakpoints),
+        loads=tuple(map(tuple, loads)),
+        temperatures=tuple(map(tuple, temperatures)),
+        works=tuple(map(tuple, works)),
     )
 
 

@@ -28,6 +28,11 @@ class NoScheduleError(SchedulingError):
     """Raised when asked to extract a schedule from a non-optimal solution."""
 
 
+class PivotLimitError(SchedulingError):
+    """The simplex reached its pivot cap. Bland's rule cannot cycle, so this
+    is a bug, reported as a typed failure rather than a crash."""
+
+
 @dataclass(frozen=True)
 class Constraint:
     """Sparse linear constraint: sum(coeff * var) <relation> rhs."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .lp import LpProblem, LpSolution
+from .lp import LpProblem, LpSolution, PivotLimitError
 
 _MAX_PIVOTS = 1_000_000
 
@@ -92,7 +92,9 @@ def _run_simplex(rows, cost, basis, rhs_col, banned):
             return "unbounded", cost
         prow = _pivot(rows, basis, leave, enter)
         cost = _eliminate(cost, prow, enter)
-    raise RuntimeError("simplex failed to terminate; this is a bug (Bland's rule cannot cycle)")
+    raise PivotLimitError(
+        f"simplex stopped after {_MAX_PIVOTS} pivots; this is a bug (Bland's rule cannot cycle)"
+    )
 
 
 def _scaled_ints(values):

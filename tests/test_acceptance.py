@@ -188,7 +188,7 @@ def test_criterion_7_discretization_convergence():
     inst = _twin()
     optimum = NormalSchedule((0, 1), (F(5), F(5)), ((F(2), F(2)), (F(2), F(2))))
     gamma = F(101, 100)
-    natural, k_used = discretize_auto(inst, optimum, gamma)
+    natural, k_used, _ = discretize_auto(inst, optimum, gamma)
     report = check_feasibility(inst, natural)
     horizon = gamma * 5
     bound_ok = report.feasible and all(

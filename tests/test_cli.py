@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from tempsched import LpSolution, cli, dynamics, load_schedule, parse_instance
+from tempsched import (
+    LpSolution,
+    cli,
+    discretize,
+    dynamics,
+    load_schedule,
+    parse_instance,
+    simplex,
+)
 from tempsched.cli import main
 
 F = Fraction
@@ -59,6 +67,11 @@ class TestSolveSum:
         monkeypatch.setattr(cli, "solve_lp", lambda problem: LpSolution("infeasible", None, {}))
         assert main(["solve-sum", twin_file, "--order", "j2,j1"]) == 2
         assert "infeasible" in capsys.readouterr().err
+
+    def test_pivot_cap_exit_2(self, twin_file, monkeypatch, capsys):
+        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
+        assert main(["solve-sum", twin_file]) == 2
+        assert "pivots" in capsys.readouterr().err
 
     def test_brute(self, twin_file, capsys):
         assert main(["solve-sum", twin_file, "--order", "brute"]) == 0
@@ -204,6 +217,27 @@ class TestDiscretize:
         natural = load_schedule(out, parse_instance(TWIN))
         assert not natural.is_empty()
         assert main(["verify", twin_file, str(out)]) == 0
+
+    def test_auto_simulates_each_trial_once(self, twin_file, tmp_path, monkeypatch, capsys):
+        simulations, slicings = [], []
+        simulate, time_slice = dynamics.simulate, discretize.time_slice
+
+        def counting_simulate(*args):
+            simulations.append(args)
+            return simulate(*args)
+
+        def counting_slice(*args):
+            slicings.append(args)
+            return time_slice(*args)
+
+        monkeypatch.setattr(dynamics, "simulate", counting_simulate)
+        monkeypatch.setattr(discretize, "time_slice", counting_slice)
+        sched = _write(tmp_path, "opt.json", OPTIMUM_NORMAL)
+        assert main(["discretize", twin_file, sched, "--gamma", "101/100", "--auto"]) == 0
+        assert "k: 64" in capsys.readouterr().out
+        # k = 1, 2, ..., 64, plus the check of the input schedule
+        assert len(slicings) == 7
+        assert len(simulations) == len(slicings) + 1
 
     def test_gamma_at_most_one_exit_2(self, twin_file, tmp_path):
         sched = _write(tmp_path, "opt.json", OPTIMUM_NORMAL)

@@ -112,9 +112,10 @@ class TestTimeSlice:
 class TestDiscretizeAuto:
     def test_golden_narrow_gamma(self, twin_instance, twin_optimum):
         gamma = F(101, 100)
-        nat, k = discretize_auto(twin_instance, twin_optimum, gamma)
+        nat, k, accepted = discretize_auto(twin_instance, twin_optimum, gamma)
         report = check_feasibility(twin_instance, nat)
         assert report.feasible
+        assert accepted.feasible and accepted.completions == report.completions
         bound = gamma * 5 + (gamma * 5) / k
         assert all(c <= bound for c in report.completions.values())
         # k is the first feasible power of two
@@ -125,7 +126,7 @@ class TestDiscretizeAuto:
             assert not check_feasibility(twin_instance, previous).feasible
 
     def test_loose_gamma_needs_tiny_k(self, twin_instance, twin_optimum):
-        nat, k = discretize_auto(twin_instance, twin_optimum, 2)
+        nat, k, _ = discretize_auto(twin_instance, twin_optimum, 2)
         assert k <= 2
         assert check_feasibility(twin_instance, nat).feasible
 

@@ -52,6 +52,52 @@ class TestSimulateGoldens:
         assert traj.temperatures[0] == (F(0), F(1), F(0), F(0), F(1))
 
 
+class TestClampsInOneSegment:
+    def test_two_jobs_clamp_at_distinct_instants_while_idle(self):
+        # both at T=1 at t=1; idle on [1, 10), a cools at -1 and b at -1/2
+        inst = Instance((Job("a", 2, -1, 1), Job("b", 1, F(-1, 2), 1)), machines=2)
+        sched = natural_from_intervals({"a": [(0, 1), (10, 11)], "b": [(0, 1)]}, 2)
+        traj = simulate(inst, sched)
+        assert traj.breakpoints == (F(0), F(1), F(2), F(3), F(10), F(11))
+        assert traj.temperatures == (
+            (F(0), F(1), F(0), F(0), F(0), F(1)),
+            (F(0), F(1), F(1, 2), F(0), F(0), F(0)),
+        )
+        assert traj.works == (
+            (F(0), F(1), F(1), F(1), F(1), F(2)),
+            (F(0), F(1), F(1), F(1), F(1), F(1)),
+        )
+        assert traj.loads == ((1, 0, 0, 0, 1), (1, 0, 0, 0, 0))
+
+    def test_one_job_clamps_while_the_other_runs(self):
+        # a cools from 1 at -1 and reaches 0 at t=2, inside b's run on [1, 3)
+        inst = Instance((Job("a", 1, -1, 1), Job("b", 2, -1, F(1, 4))))
+        sched = natural_from_intervals({"a": [(0, 1)], "b": [(1, 3)]}, 1)
+        traj = simulate(inst, sched)
+        assert traj.breakpoints == (F(0), F(1), F(2), F(3))
+        assert traj.temperatures == (
+            (F(0), F(1), F(0), F(0)),
+            (F(0), F(0), F(1, 4), F(1, 2)),
+        )
+        assert traj.works == ((F(0), F(1), F(1), F(1)), (F(0), F(0), F(1), F(2)))
+        assert traj.loads == ((1, 0, 0), (0, 1, 1))
+
+    def test_two_jobs_clamping_together_share_one_breakpoint(self):
+        # a at T=1 cooling at -1 and b at T=1/2 cooling at -1/2 both reach 0 at t=2
+        inst = Instance((Job("a", 2, -1, 1), Job("b", 1, F(-1, 2), F(1, 2))), machines=2)
+        sched = natural_from_intervals({"a": [(0, 1), (4, 5)], "b": [(0, 1)]}, 2)
+        traj = simulate(inst, sched)
+        assert traj.breakpoints == (F(0), F(1), F(2), F(4), F(5))
+        assert traj.temperatures == (
+            (F(0), F(1), F(0), F(0), F(1)),
+            (F(0), F(1, 2), F(0), F(0), F(0)),
+        )
+        assert traj.works == (
+            (F(0), F(1), F(1), F(1), F(2)),
+            (F(0), F(1), F(1), F(1), F(1)),
+        )
+
+
 class TestCheckFeasibility:
     def test_continuous_run_overheats(self, solo_instance):
         sched = natural_from_intervals({"j1": [(0, 2)]}, 1)
@@ -150,6 +196,11 @@ class TestTrajectoryInvariants:
                     slope = job.alpha * (1 - s) + job.beta * s
                     expected = max(F(0), temps[k] + slope * dt)
                     assert temps[k + 1] == expected
+                    # linear between breakpoints: a clamp instant is never skipped
+                    if temps[k] == 0 and slope <= 0:
+                        assert temps[k + 1] == 0
+                    else:
+                        assert temps[k + 1] == temps[k] + slope * dt
 
     def test_work_conservation(self):
         rng = random.Random(4)

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from tempsched import Constraint, LpProblem, simplex, solve_lp
+import pytest
+
+from tempsched import Constraint, LpProblem, PivotLimitError, SchedulingError, simplex, solve_lp
 
 from .helpers import random_small_lp, vertex_minimum
 
@@ -147,6 +149,13 @@ class TestBasics:
         assert sol.status == "optimal"
         assert sol.assignment == {"x": F(0), "y": F(0), "z": F(2485, 2486)}
         assert (sol.status, sol.value) == vertex_minimum(prob)
+
+    def test_pivot_cap_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
+        prob = _lp(("x",), (F(1),), [Constraint("ge3", ((0, F(-1)),), "<=", F(-3))])
+        with pytest.raises(PivotLimitError):
+            solve_lp(prob)
+        assert issubclass(PivotLimitError, SchedulingError)
 
     def test_assignment_covers_all_variables(self):
         prob = _lp(("x", "y", "z"), (F(1), F(1), F(0)), [
