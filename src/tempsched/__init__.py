@@ -23,7 +23,6 @@ from .core import (
     loads_from_normal,
     natural_from_intervals,
     normalize,
-    rational_str,
     validate_normal_schedule,
 )
 from .discretize import (
@@ -114,7 +113,6 @@ __all__ = [
     "normalize",
     "parse_instance",
     "parse_schedule",
-    "rational_str",
     "save_instance",
     "save_schedule",
     "simulate",

@@ -19,8 +19,7 @@ from .core import (
     NormalSchedule,
     SchedulingError,
     Trajectory,
-    normalize,
-    rational_str,
+    as_rational,
 )
 from .discretize import discretize_auto, gamma_scale, time_slice
 from .dynamics import FeasibilityReport, check_feasibility, simulate
@@ -43,7 +42,7 @@ EXIT_INPUT = 2
 
 
 def _rat(value: Fraction) -> str:
-    return f"{rational_str(value)} (~{float(value):.6g})"
+    return f"{value} (~{float(value):.6g})"
 
 
 def _print_report(instance: Instance, report: FeasibilityReport) -> None:
@@ -79,7 +78,7 @@ def _parse_order(spec: str, instance: Instance) -> tuple[int, ...]:
 
 
 def _cmd_solve_sum(args) -> int:
-    instance = normalize(load_instance(args.instance))
+    instance = load_instance(args.instance)
     if args.order == "spt":
         schedule, value = solve_sum(instance)
         order = schedule.order
@@ -101,7 +100,7 @@ def _cmd_solve_sum(args) -> int:
 
 
 def _cmd_solve_makespan(args) -> int:
-    instance = normalize(load_instance(args.instance))
+    instance = load_instance(args.instance)
     value, schedule = solve_makespan(instance)
     print(f"makespan: {_rat(value)}")
     for job in instance.jobs:
@@ -115,8 +114,7 @@ def _cmd_solve_makespan(args) -> int:
         print(f"order-LP minimum: {_rat(lp_value)}")
         if lp_value != value:
             print(
-                f"MISMATCH: closed form {rational_str(value)} != order-LP "
-                f"minimum {rational_str(lp_value)}",
+                f"MISMATCH: closed form {value} != order-LP minimum {lp_value}",
                 file=sys.stderr,
             )
             return EXIT_INFEASIBLE
@@ -125,7 +123,7 @@ def _cmd_solve_makespan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = normalize(load_instance(args.instance))
+    instance = load_instance(args.instance)
     schedule = load_schedule(args.schedule, instance)
     report = check_feasibility(instance, schedule)
     _print_report(instance, report)
@@ -134,18 +132,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_discretize(args) -> int:
-    instance = normalize(load_instance(args.instance))
+    gamma = as_rational(args.gamma, "gamma")
+    instance = load_instance(args.instance)
     schedule = load_schedule(args.schedule, instance)
     if not isinstance(schedule, NormalSchedule):
         raise InputError("discretize needs a normal schedule file")
-    scaled = gamma_scale(schedule, args.gamma)
+    scaled = gamma_scale(schedule, gamma)
     if args.k is not None:
         k_used = args.k
         natural = time_slice(instance, scaled, k_used)
         report = check_feasibility(instance, natural)
     else:
-        natural, k_used, report = discretize_auto(instance, schedule, args.gamma)
-    print(f"gamma: {rational_str(args.gamma)}")
+        natural, k_used, report = discretize_auto(instance, schedule, gamma)
+    print(f"gamma: {gamma}")
     print(f"k: {k_used}")
     print(f"feasible: {'yes' if report.feasible else 'no'}")
     for pos, j in enumerate(schedule.order):
@@ -160,12 +159,6 @@ def _cmd_discretize(args) -> int:
     if args.out:
         save_schedule(args.out, natural, instance)
     return EXIT_OK
-
-
-def _rational_arg(text: str) -> Fraction:
-    from .core import as_rational
-
-    return as_rational(text, "argument")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("schedule", help="normal schedule JSON file")
-    p.add_argument("--gamma", type=_rational_arg, required=True,
+    p.add_argument("--gamma", required=True,
                    help="time-stretch factor, a rational > 1")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--k", type=int, help="slice count (may yield an infeasible result)")

@@ -65,11 +65,6 @@ def as_rational(value: RationalLike, what: str = "value") -> Fraction:
     raise InputError(f"{what}: unsupported type {type(value).__name__}")
 
 
-def rational_str(value: Fraction) -> str:
-    """Render a Fraction as "num/den" in lowest terms ("7" when integral)."""
-    return str(value)
-
-
 @dataclass(frozen=True)
 class Job:
     """One job: processing time `p`, cooling rate `alpha` (< 0), heating
@@ -113,7 +108,7 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "jobs", tuple(self.jobs))
-        if not isinstance(self.machines, int) or self.machines < 1:
+        if isinstance(self.machines, bool) or not isinstance(self.machines, int) or self.machines < 1:
             raise InputError(f"machine count must be a positive integer, got {self.machines!r}")
         ids = [job.id for job in self.jobs]
         if len(set(ids)) != len(ids):
@@ -146,6 +141,10 @@ def normalize(instance: Instance) -> Instance:
     """Rescale each job's rates by its threshold so every threshold is 1.
 
     Idempotent: jobs without a threshold (or with threshold 1) pass through.
+    Only functions that read `alpha` or `beta` call this: `build_order_lp`,
+    `simulate`, `min_makespan_single`, and `solve_sum` for its common-rate
+    test. The rest read only `p`, ids and `machines`, which it leaves
+    alone, so every public function accepts thresholds either way.
     """
     jobs = []
     for job in instance.jobs:
@@ -206,9 +205,6 @@ class NormalSchedule:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def position_of(self, job_index: int) -> int:
-        return self.order.index(job_index)
 
 
 def validate_normal_schedule(instance: Instance, schedule: NormalSchedule) -> None:

@@ -29,7 +29,6 @@ from .core import (
     as_rational,
     loads_from_normal,
     natural_from_intervals,
-    normalize,
 )
 from .dynamics import FeasibilityReport, check_feasibility
 
@@ -77,7 +76,6 @@ def time_slice(instance: Instance, schedule: NormalSchedule, k: int) -> NaturalS
     """
     if not isinstance(k, int) or k < 1:
         raise InputError(f"slice count must be a positive integer, got {k!r}")
-    instance = normalize(instance)
     if schedule.n != instance.n:
         raise InputError(f"schedule covers {schedule.n} jobs, instance has {instance.n}")
     raw: dict[str, list[tuple[Fraction, Fraction]]] = {job.id: [] for job in instance.jobs}
@@ -114,7 +112,6 @@ def discretize_auto(
     and slicing error vanishes as k grows; the ceiling only guards against
     misuse.
     """
-    instance = normalize(instance)
     report = check_feasibility(instance, schedule)
     if not report.feasible:
         kinds = ", ".join(sorted({v.kind for v in report.violations}))

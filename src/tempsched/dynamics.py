@@ -167,7 +167,6 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> FeasibilityRepo
     under `missing` without making the schedule infeasible; the aggregate
     objectives are then None.
     """
-    instance = normalize(instance)
     traj = simulate(instance, schedule)
     m = instance.machines
     violations: list[Violation] = []

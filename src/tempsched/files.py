@@ -36,7 +36,6 @@ from .core import (
     NormalSchedule,
     as_rational,
     natural_from_intervals,
-    rational_str,
     validate_normal_schedule,
 )
 
@@ -108,12 +107,12 @@ def dump_instance(instance: Instance) -> dict:
     for job in instance.jobs:
         entry = {
             "id": job.id,
-            "p": rational_str(job.p),
-            "alpha": rational_str(job.alpha),
-            "beta": rational_str(job.beta),
+            "p": str(job.p),
+            "alpha": str(job.alpha),
+            "beta": str(job.beta),
         }
         if job.threshold is not None:
-            entry["threshold"] = rational_str(job.threshold)
+            entry["threshold"] = str(job.threshold)
         jobs.append(entry)
     return {"machines": instance.machines, "jobs": jobs}
 
@@ -154,7 +153,8 @@ def parse_schedule(data: Any, instance: Instance) -> Schedule:
         return natural_from_intervals(raw, machines=None)
     if kind == "normal":
         order_ids = data.get("order")
-        if not isinstance(order_ids, list) or sorted(order_ids) != sorted(instance.job_ids):
+        if (not isinstance(order_ids, list) or not all(isinstance(v, str) for v in order_ids)
+                or sorted(order_ids) != sorted(instance.job_ids)):
             raise InputError('"order" must list every instance job id exactly once')
         n = instance.n
         c_data = data.get("C")
@@ -201,7 +201,7 @@ def dump_schedule(schedule: Schedule, instance: Instance) -> dict:
         return {
             "kind": "natural",
             "intervals": {
-                job.id: [[rational_str(a), rational_str(b)]
+                job.id: [[str(a), str(b)]
                          for a, b in schedule.for_job(job.id)]
                 for job in instance.jobs
                 if schedule.for_job(job.id)
@@ -211,15 +211,15 @@ def dump_schedule(schedule: Schedule, instance: Instance) -> dict:
         data = {
             "kind": "normal",
             "order": [instance.jobs[j].id for j in schedule.order],
-            "C": [rational_str(c) for c in schedule.completions],
+            "C": [str(c) for c in schedule.completions],
             "W": [
-                [rational_str(schedule.work[i][j]) for j in schedule.order]
+                [str(schedule.work[i][j]) for j in schedule.order]
                 for i in range(schedule.n)
             ],
         }
         if schedule.temperatures is not None:
             data["T"] = [
-                [rational_str(schedule.temperatures[i][j]) for j in schedule.order]
+                [str(schedule.temperatures[i][j]) for j in schedule.order]
                 for i in range(schedule.n)
             ]
         return data

@@ -5,19 +5,24 @@ polyhedron in the completion times C_i, the cumulative-work matrix W_i_j,
 and a temperature-witness matrix T_i_j (all nonnegative). `build_order_lp`
 emits that polyhedron's constraints together with either the
 sum-of-completions or the makespan objective; `extract_schedule` turns an
-optimal assignment back into a `NormalSchedule`.
+optimal vertex back into a `NormalSchedule`.
 
 Indices inside the LP are completion positions: W_1_2 is the work done on
 the job completing second, measured at the first completion time. Work on
 a job already complete is its processing time, so only W_i_j with i < j
 is a variable of the LP.
+
+A point `x` of an LP holds one value per column. `_col_c`, `_col_w` and
+`_col_t` lay out the order LP's columns for both `build_order_lp` and
+`extract_schedule`; the names in `LpProblem.variables` serve only
+`lp_text` and `violated_constraints`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Sequence
 
 from .core import Instance, InputError, NormalSchedule, SchedulingError, normalize
 
@@ -55,11 +60,10 @@ class LpProblem:
         if len(self.objective) != len(self.variables):
             raise InputError("objective length must match variable count")
 
-    def violated_constraints(self, values: Mapping[str, Fraction]) -> list[str]:
-        """Names of constraints (or nonnegativity bounds) the assignment
-        breaks; empty list means the point is feasible."""
-        x = [values.get(v, Fraction(0)) for v in self.variables]
-        bad = [f"nonneg({self.variables[i]})" for i, xi in enumerate(x) if xi < 0]
+    def violated_constraints(self, x: Sequence[Fraction]) -> list[str]:
+        """Names of constraints (or nonnegativity bounds) the point `x`, one
+        value per column, breaks; empty list means the point is feasible."""
+        bad = [f"nonneg({v})" for v, xi in zip(self.variables, x) if xi < 0]
         for con in self.constraints:
             lhs = sum((c * x[i] for i, c in con.coeffs), Fraction(0))
             ok = lhs <= con.rhs if con.relation == "<=" else lhs == con.rhs
@@ -67,21 +71,37 @@ class LpProblem:
                 bad.append(con.name)
         return bad
 
-    def objective_value(self, values: Mapping[str, Fraction]) -> Fraction:
-        return sum(
-            (c * values.get(v, Fraction(0)) for v, c in zip(self.variables, self.objective)),
-            Fraction(0),
-        )
+    def objective_value(self, x: Sequence[Fraction]) -> Fraction:
+        return sum((c * xi for c, xi in zip(self.objective, x)), Fraction(0))
 
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A solver's verdict. `x` is the optimal vertex, one value per column
+    in the order of `LpProblem.variables`; it is empty unless the status
+    is "optimal"."""
+
     status: Literal["optimal", "infeasible", "unbounded"]
     value: Fraction | None
-    assignment: dict[str, Fraction]
+    x: tuple[Fraction, ...]
 
 
 Objective = Literal["sum", "makespan"]
+
+
+def _col_c(i: int) -> int:
+    """Column of C_i (positions are 1-based): the completions come first."""
+    return i - 1
+
+
+def _col_w(n: int, i: int, j: int) -> int:
+    """Column of W_i_j, i < j: the live work follows, row by row."""
+    return n + (i - 1) * (2 * n - i) // 2 + (j - i - 1)
+
+
+def _col_t(n: int, i: int, j: int) -> int:
+    """Column of T_i_j: the n x n temperature witness comes last."""
+    return n + n * (n - 1) // 2 + (i - 1) * n + (j - 1)
 
 
 def build_order_lp(instance: Instance, order: Sequence[int], objective: Objective) -> LpProblem:
@@ -91,7 +111,8 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
     Positions i and j are 1-based: job j completes j-th. From its
     completion on a job's cumulative work is its processing time, so
     W_i_j = p_j for i >= j is a constant, not a variable. Only the live
-    variables are declared, in this column order:
+    variables are declared, in the column order of `_col_c`, `_col_w`
+    and `_col_t`:
       * C_i, the i-th completion time;
       * W_i_j for i < j, the work done on job j by C_i, row by row;
       * T_i_j, the temperature witness of job j at C_i.
@@ -124,19 +145,16 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
     names: list[str] = [f"C_{i}" for i in range(1, n + 1)]
     names += [f"W_{i}_{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     names += [f"T_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-    t_base = n + n * (n - 1) // 2
-
-    def C(i: int) -> int:
-        return i - 1
+    C = _col_c
 
     def W(i: int, j: int, coeff: Fraction) -> tuple[int | None, Fraction]:
         """The term coeff * W_i_j; column None marks the constant coeff * p_j."""
         if i < j:
-            return n + (i - 1) * (2 * n - i) // 2 + (j - i - 1), coeff
+            return _col_w(n, i, j), coeff
         return None, coeff * jobs[j - 1].p
 
     def T(i: int, j: int) -> int:
-        return t_base + (i - 1) * n + (j - 1)
+        return _col_t(n, i, j)
 
     one = Fraction(1)
     cons: list[Constraint] = []
@@ -206,29 +224,28 @@ def constraint_count(n: int, machines: int) -> int:
 def extract_schedule(
     instance: Instance, order: Sequence[int], solution: LpSolution
 ) -> NormalSchedule:
-    """Turn an optimal order-LP assignment into the corresponding normal
+    """Turn an optimal order-LP vertex into the corresponding normal
     schedule (work columns mapped back to instance job indices, pinned
     work filled in from p, the T values kept as the feasibility witness)."""
     if solution.status != "optimal":
         raise NoScheduleError(f"no schedule available: solver status is {solution.status}")
     n = instance.n
     order = tuple(order)
-    a = solution.assignment
-    completions = tuple(a[f"C_{i}"] for i in range(1, n + 1))
+    x = solution.x
+    completions = tuple(x[_col_c(i)] for i in range(1, n + 1))
     work = [[Fraction(0)] * n for _ in range(n)]
     temps = [[Fraction(0)] * n for _ in range(n)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             k = order[j - 1]
-            work[i - 1][k] = a[f"W_{i}_{j}"] if i < j else instance.jobs[k].p
-            temps[i - 1][k] = a[f"T_{i}_{j}"]
-    schedule = NormalSchedule(
+            work[i - 1][k] = x[_col_w(n, i, j)] if i < j else instance.jobs[k].p
+            temps[i - 1][k] = x[_col_t(n, i, j)]
+    return NormalSchedule(
         order=order,
         completions=completions,
         work=tuple(tuple(row) for row in work),
         temperatures=tuple(tuple(row) for row in temps),
     )
-    return schedule
 
 
 def lp_text(problem: LpProblem) -> str:

@@ -115,8 +115,8 @@ def _reduced_costs(objective, rows, basis):
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve min c.x s.t. the problem's constraints and x >= 0, exactly.
 
-    Returns an optimal vertex assignment covering every variable, or a
-    solution object whose status reports infeasibility/unboundedness.
+    Returns an optimal vertex, one value per column, or a solution object
+    whose status reports infeasibility/unboundedness.
     """
     nstruct = len(problem.variables)
 
@@ -172,7 +172,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         cost = _reduced_costs({a: 1 for a in art_cols}, rows, basis)
         status, cost = _run_simplex(rows, cost, basis, rhs_col, banned)
         if status != "optimal" or cost.get(rhs_col, 0) < 0:
-            return LpSolution("infeasible", None, {})
+            return LpSolution("infeasible", None, ())
         banned = set(art_cols)
         # Drive artificials still basic (at zero) out, or drop their rows.
         keep = []
@@ -190,10 +190,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     cost = _reduced_costs(dict(enumerate(problem.objective)), rows, basis)
     status, _ = _run_simplex(rows, cost, basis, rhs_col, banned)
     if status == "unbounded":
-        return LpSolution("unbounded", None, {})
+        return LpSolution("unbounded", None, ())
 
-    values = {
-        b: Fraction(row.get(rhs_col, 0), row[b]) for row, b in zip(rows, basis) if b < nstruct
-    }
-    assignment = {name: values.get(v, Fraction(0)) for v, name in enumerate(problem.variables)}
-    return LpSolution("optimal", problem.objective_value(assignment), assignment)
+    x = [Fraction(0)] * nstruct
+    for row, b in zip(rows, basis):
+        if b < nstruct:
+            x[b] = Fraction(row.get(rhs_col, 0), row[b])
+    return LpSolution("optimal", problem.objective_value(x), tuple(x))

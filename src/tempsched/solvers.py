@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from .core import Instance, InputError, Job, NormalSchedule, normalize
-from .lp import NoScheduleError, Objective, build_order_lp, extract_schedule
+from .lp import LpSolution, NoScheduleError, Objective, build_order_lp, extract_schedule
 from .simplex import solve_lp
 
 DEFAULT_BRUTE_CAP = 7
@@ -60,8 +60,7 @@ def solve_sum(instance: Instance) -> tuple[NormalSchedule, Fraction]:
 
 def _best_order(
     instance: Instance, objective: Objective, cap: int
-) -> tuple[tuple[int, ...], Fraction, dict]:
-    instance = normalize(instance)
+) -> tuple[tuple[int, ...], Fraction, LpSolution]:
     if instance.n == 0:
         raise InputError("cannot solve an instance with no jobs")
     if instance.n > cap:
@@ -122,7 +121,6 @@ def solve_makespan(instance: Instance) -> tuple[Fraction, NormalSchedule]:
     whole horizon attains it. The returned schedule is that constant-rate
     witness (all jobs complete together).
     """
-    instance = normalize(instance)
     n = instance.n
     if n == 0:
         return Fraction(0), NormalSchedule((), (), ())

@@ -169,9 +169,12 @@ def work_at(traj, j: int, t: Fraction) -> Fraction:
     return w0 + (w1 - w0) * (t - t0) / (t1 - t0)
 
 
-def lemma_assignment(instance: Instance, schedule: NormalSchedule) -> dict[str, Fraction]:
+def lemma_assignment(
+    instance: Instance, schedule: NormalSchedule, variables: tuple[str, ...]
+) -> tuple[Fraction, ...]:
     """Map a normal schedule plus its simulated breakpoint temperatures onto
-    the order-LP's variables (positions re-indexed along schedule.order).
+    the order-LP's variables (positions re-indexed along schedule.order),
+    as a point with one value per name in `variables`.
 
     The simulated temperatures are the pointwise-minimal witness satisfying
     the temperature recursion, so the LP constraint set accepts the result
@@ -189,4 +192,4 @@ def lemma_assignment(instance: Instance, schedule: NormalSchedule) -> dict[str, 
             job_index = schedule.order[j]
             values[f"W_{i + 1}_{j + 1}"] = schedule.work[i][job_index]
             values[f"T_{i + 1}_{j + 1}"] = traj.temperatures[job_index][k]
-    return values
+    return tuple(values[v] for v in variables)

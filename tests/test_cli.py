@@ -64,7 +64,7 @@ class TestSolveSum:
         assert "sum of completion times: 10" in capsys.readouterr().out
 
     def test_explicit_order_non_optimal_lp_exit_2(self, twin_file, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "solve_lp", lambda problem: LpSolution("infeasible", None, {}))
+        monkeypatch.setattr(cli, "solve_lp", lambda problem: LpSolution("infeasible", None, ()))
         assert main(["solve-sum", twin_file, "--order", "j2,j1"]) == 2
         assert "infeasible" in capsys.readouterr().err
 
@@ -196,6 +196,11 @@ class TestVerifyAndSimulate:
         sched = _write(tmp_path, "bad.json", {"kind": "normal", "order": ["j1"]})
         assert main(["verify", twin_file, sched]) == 2
 
+    def test_mixed_order_ids_exit_2(self, twin_file, tmp_path, capsys):
+        sched = _write(tmp_path, "mixed.json", {**OPTIMUM_NORMAL, "order": [1, "j2"]})
+        assert main(["verify", twin_file, sched]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unwritable_artifact_exit_2(self, twin_file, tmp_path):
         sched = _write(tmp_path, "nat.json", NAIVE_NATURAL)
         bad = str(tmp_path / "no_dir" / "x.csv")
@@ -243,6 +248,11 @@ class TestDiscretize:
         sched = _write(tmp_path, "opt.json", OPTIMUM_NORMAL)
         assert main(["discretize", twin_file, sched, "--gamma", "1"]) == 2
 
+    def test_unparsable_gamma_exit_2(self, twin_file, tmp_path, capsys):
+        sched = _write(tmp_path, "opt.json", OPTIMUM_NORMAL)
+        assert main(["discretize", twin_file, sched, "--gamma", "abc"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_explicit_k_reports_feasibility(self, twin_file, tmp_path, capsys):
         sched = _write(tmp_path, "opt.json", OPTIMUM_NORMAL)
         assert main([
@@ -262,6 +272,24 @@ class TestDiscretize:
             "W": [["2", "0"], ["2", "2"]],
         })
         assert main(["discretize", twin_file, sched, "--gamma", "2"]) == 2
+
+
+class TestThresholdFile:
+    def test_output_matches_the_pre_normalized_twin(self, twin_file, tmp_path, capsys):
+        # j1 and j2 normalize to TWIN's rates (-1/3, 1)
+        scaled = {"machines": 1, "jobs": [
+            {"id": "j1", "p": "2", "alpha": "-1", "beta": "3", "threshold": "3"},
+            {"id": "j2", "p": "2", "alpha": "-1/6", "beta": "1/2", "threshold": "1/2"},
+        ]}
+        runs = []
+        for name, inst in (("twin", twin_file), ("scaled", _write(tmp_path, "t.json", scaled))):
+            normal, natural = tmp_path / f"{name}-opt.json", tmp_path / f"{name}-nat.json"
+            assert main(["solve-sum", inst, "--out", str(normal)]) == 0
+            assert main(["discretize", inst, str(normal), "--gamma", "11/10", "--auto",
+                         "--out", str(natural)]) == 0
+            assert main(["verify", inst, str(natural)]) == 0
+            runs.append((capsys.readouterr().out, normal.read_bytes(), natural.read_bytes()))
+        assert runs[0] == runs[1]
 
 
 class TestExactOutput:

@@ -14,7 +14,6 @@ from tempsched import (
     loads_from_normal,
     natural_from_intervals,
     normalize,
-    rational_str,
 )
 
 F = Fraction
@@ -38,11 +37,6 @@ class TestRationals:
         with pytest.raises(InputError):
             as_rational(True)
 
-    def test_rational_str_lowest_terms(self):
-        assert rational_str(F(10)) == "10"
-        assert rational_str(F(4, 10)) == "2/5"
-        assert rational_str(F(-1, 3)) == "-1/3"
-
 
 class TestJobAndInstance:
     def test_validation(self):
@@ -63,6 +57,14 @@ class TestJobAndInstance:
             Instance((job, job))
         with pytest.raises(InputError):
             Instance((job,), machines=0)
+
+    def test_bool_machines_rejected(self):
+        # bool is an int subclass; True would pass as one machine and then
+        # save as "machines": true, which load_instance rejects
+        job = Job("a", 1, F(-1), 1)
+        for flag in (True, False):
+            with pytest.raises(InputError):
+                Instance((job,), machines=flag)
 
     def test_common_rates(self):
         a = Job("a", 1, F(-1), 1)

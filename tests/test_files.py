@@ -155,6 +155,14 @@ class TestScheduleFiles:
             with pytest.raises(InputError):
                 parse_schedule(data, twin_instance)
 
+    def test_non_string_order_ids_rejected(self, twin_instance):
+        # ids are compared by sorting, so a non-string id must be refused first
+        for order in ([1, "j2"], ["j1", 2], [None, "j2"]):
+            data = {"kind": "normal", "order": order, "C": ["5", "5"],
+                    "W": [["2", "2"], ["2", "2"]]}
+            with pytest.raises(InputError):
+                parse_schedule(data, twin_instance)
+
     def test_json_is_strings_only_for_rationals(self, twin_instance, twin_optimum):
         data = dump_schedule(twin_optimum, twin_instance)
         text = json.dumps(data)

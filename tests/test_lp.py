@@ -15,6 +15,7 @@ from tempsched import (
     constraint_count,
     extract_schedule,
     loads_from_normal,
+    lp,
     lp_text,
     min_makespan_single,
     solve_lp,
@@ -53,6 +54,17 @@ class TestBuildOrderLp:
                     assert len(prob.constraints) == constraint_count(n, m)
                     assert len(prob.variables) == n + n * (n - 1) // 2 + n * n
 
+    def test_column_functions_lay_out_the_named_columns(self):
+        # extract_schedule reads columns through these, lp_text through names
+        for n in range(1, 7):
+            inst = Instance(tuple(Job(f"j{k}", 1, F(-1), 1) for k in range(n)))
+            names = build_order_lp(inst, tuple(range(n)), "sum").variables
+            at = {lp._col_c(i): f"C_{i}" for i in range(1, n + 1)}
+            for i in range(1, n + 1):
+                at.update({lp._col_w(n, i, j): f"W_{i}_{j}" for j in range(i + 1, n + 1)})
+                at.update({lp._col_t(n, i, j): f"T_{i}_{j}" for j in range(1, n + 1)})
+            assert [at[col] for col in range(len(names))] == list(names)
+
     def test_emitted_rows_need_no_presolve(self):
         # no empty row, no variable pinned by a one-variable equality, and no
         # two rows equal up to a positive factor
@@ -90,11 +102,13 @@ class TestBuildOrderLp:
 
 class TestSolveGoldenLp:
     def test_optimal_value_ten(self, twin_instance):
-        sol = solve_lp(build_order_lp(twin_instance, (0, 1), "sum"))
+        prob = build_order_lp(twin_instance, (0, 1), "sum")
+        sol = solve_lp(prob)
         assert sol.status == "optimal"
         assert sol.value == 10
-        assert sol.assignment["C_1"] == 5
-        assert sol.assignment["C_2"] == 5
+        x = dict(zip(prob.variables, sol.x))
+        assert x["C_1"] == 5
+        assert x["C_2"] == 5
 
     def test_extracted_schedule_loads(self, twin_instance):
         sol = solve_lp(build_order_lp(twin_instance, (0, 1), "sum"))
@@ -105,15 +119,15 @@ class TestSolveGoldenLp:
     def test_assignment_satisfies_constraints(self, twin_instance):
         prob = build_order_lp(twin_instance, (0, 1), "sum")
         sol = solve_lp(prob)
-        assert prob.violated_constraints(sol.assignment) == []
-        broken = dict(sol.assignment)
-        broken["W_1_2"] = F(99)
+        assert prob.violated_constraints(sol.x) == []
+        broken = list(sol.x)
+        broken[prob.variables.index("W_1_2")] = F(99)
         assert "work_monotone_2_2" in prob.violated_constraints(broken)
 
     def test_extract_requires_optimal(self, twin_instance):
         with pytest.raises(NoScheduleError):
             extract_schedule(
-                twin_instance, (0, 1), LpSolution("infeasible", None, {})
+                twin_instance, (0, 1), LpSolution("infeasible", None, ())
             )
 
 

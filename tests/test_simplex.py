@@ -41,7 +41,7 @@ class TestBasics:
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         assert sol.value == 3
-        assert sol.assignment == {"x": F(3)}
+        assert sol.x == (F(3),)
 
     def test_maximize_via_negation(self):
         prob = _lp(("x",), (F(-1),), [Constraint("le5", ((0, F(1)),), "<=", F(5))])
@@ -85,7 +85,7 @@ class TestBasics:
     def test_empty_row_always_satisfied_is_dropped(self):
         prob = _lp(("x",), (F(1),), [Constraint("always", (), "==", F(0))])
         sol = solve_lp(prob)
-        assert (sol.status, sol.value, sol.assignment) == ("optimal", 0, {"x": F(0)})
+        assert (sol.status, sol.value, sol.x) == ("optimal", 0, (F(0),))
 
     def test_two_variable_classic(self):
         # min -(3x + 5y) s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6)
@@ -96,7 +96,7 @@ class TestBasics:
         ])
         sol = solve_lp(prob)
         assert sol.value == -36
-        assert sol.assignment == {"x": F(2), "y": F(6)}
+        assert sol.x == (F(2), F(6))
 
     def test_fractional_data_stays_exact(self):
         prob = _lp(("x", "y"), (F(1, 3), F(1, 7)), [
@@ -105,7 +105,7 @@ class TestBasics:
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         # cheapest per unit of constraint coverage: x (rate (1/3)/(2/5) < (1/7)/(1/11))
-        assert sol.assignment["x"] == F(5, 2)
+        assert sol.x[0] == F(5, 2)
         assert sol.value == F(5, 6)
 
     def test_degenerate_ties(self):
@@ -124,7 +124,7 @@ class TestBasics:
         ])
         sol = solve_lp(prob)
         assert sol.status == "optimal"
-        assert sol.assignment == {"x": F(0), "y": F(2)}
+        assert sol.x == (F(0), F(2))
 
     def test_implied_equality_driven_out_on_negative_entry(self, monkeypatch):
         # cap and x, y >= 0 already force x = y = 0, so "implied" is redundant.
@@ -147,7 +147,7 @@ class TestBasics:
         sol = solve_lp(prob)
         assert False in pivot_signs
         assert sol.status == "optimal"
-        assert sol.assignment == {"x": F(0), "y": F(0), "z": F(2485, 2486)}
+        assert sol.x == (F(0), F(0), F(2485, 2486))
         assert (sol.status, sol.value) == vertex_minimum(prob)
 
     def test_pivot_cap_raises_typed_error(self, monkeypatch):
@@ -162,7 +162,7 @@ class TestBasics:
             Constraint("fix", ((0, F(2)),), "==", F(6)),
         ])
         sol = solve_lp(prob)
-        assert sol.assignment == {"x": F(3), "y": F(0), "z": F(0)}
+        assert sol.x == (F(3), F(0), F(0))
 
 
 class TestAgainstVertexEnumeration:
@@ -177,8 +177,8 @@ class TestAgainstVertexEnumeration:
             if status == "optimal":
                 optimal += 1
                 assert sol.value == value
-                assert prob.violated_constraints(sol.assignment) == []
-                assert prob.objective_value(sol.assignment) == sol.value
+                assert prob.violated_constraints(sol.x) == []
+                assert prob.objective_value(sol.x) == sol.value
             else:
                 infeasible += 1
         # the generator should exercise both outcomes
@@ -199,8 +199,8 @@ class TestAgainstVertexEnumeration:
             if status == "optimal":
                 optimal += 1
                 assert sol.value == value == solve_lp(base).value
-                assert prob.violated_constraints(sol.assignment) == []
-                assert prob.objective_value(sol.assignment) == sol.value
+                assert prob.violated_constraints(sol.x) == []
+                assert prob.objective_value(sol.x) == sol.value
             else:
                 infeasible += 1
         assert optimal >= 30
