@@ -109,7 +109,7 @@ def _cmd_solve_makespan(args) -> int:
         save_schedule(args.out, schedule, instance)
     if instance.n and (args.csv or args.svg):
         _emit_artifacts(simulate(instance, schedule), args.csv, args.svg)
-    if args.check_lp:
+    if args.check_lp and instance.n:
         lp_value, lp_order = min_makespan_over_orders(instance, cap=args.brute_cap)
         print(f"order-LP minimum: {_rat(lp_value)}")
         if lp_value != value:

@@ -34,8 +34,9 @@ class NoScheduleError(SchedulingError):
 
 
 class PivotLimitError(SchedulingError):
-    """The simplex reached its pivot cap. Bland's rule cannot cycle, so this
-    is a bug, reported as a typed failure rather than a crash."""
+    """The simplex reached its pivot cap. Its pricing falls back to Bland's
+    rule on degenerate stalls and so cannot cycle; reaching the cap is a bug,
+    reported as a typed failure rather than a crash."""
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,14 @@
 """Exact LP solving: two-phase simplex on a fraction-free integer tableau.
 
-Bland's rule picks the entering and leaving variables, so the method
-terminates on every input with no further anti-cycling machinery.
+Devex pricing (Harris 1973; Forrest & Goldfarb 1992) picks the entering
+column: among the columns with a negative reduced cost, the one with the
+largest squared reduced cost over a float reference weight. The floats only
+rank candidates that the integers have already admitted; optimality,
+unboundedness and the ratio test are exact integer tests, so the value is
+exact and independent of the pricing. After a run of degenerate pivots,
+Bland's rule picks the entering column until the objective strictly
+improves, so the method terminates on every input. At alternative optima
+the returned vertex depends on the pricing.
 
 Pivoting is fraction-free (after Edmonds 1967 and Bareiss 1968): each
 tableau row is a sparse map from column to nonzero Python `int`, holding
@@ -9,21 +16,28 @@ the rational row times a positive factor. That factor is the row's
 denominator, and it is the row's own entry in its basic column. A pivot
 clears a column from row i as `row * (p/g) - (f/g) * pivot_row`, with
 `g = gcd(p, f)`, then divides the row by the gcd of its entries. The
-reduced-cost row is kept the same way, up to a positive factor. Bland's
-rule reads only signs, within-row ratios (compared by cross-multiplying)
-and basis indices, all unchanged by positive row factors, so the pivots,
-the vertex and the value are those of the rational tableau. Values
-become `Fraction`s only when the optimal vertex is read off.
+reduced-cost row is kept the same way, up to a positive factor. Pricing
+and the ratio test read only signs, within-row ratios (compared by
+cross-multiplying, or divided in floats for Devex) and basis indices, all
+unchanged by positive row factors, so the pivots, the vertex and the
+value are those of the rational tableau. Values become `Fraction`s only
+when the optimal vertex is read off.
+
+`solve_lp` logs one DEBUG event per call to the `tempsched` logger: the
+tableau's rows and columns, the pivots of each phase and how many of them
+Bland's rule picked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .lp import LpProblem, LpSolution, PivotLimitError
 
 _MAX_PIVOTS = 1_000_000
+# Degenerate pivots in a row after which Bland's rule takes over pricing.
+_DEGENERATE_RUN = 50
 
 
 def _eliminate(row, prow, col):
@@ -62,18 +76,73 @@ def _pivot(rows, basis, r, col):
     return prow
 
 
-def _run_simplex(rows, cost, basis, rhs_col, banned):
-    """Minimize until no negative reduced cost remains (Bland's rule).
+def _ratio(a, b):
+    """`a / b` as a float for nonzero int b; `inf` where that overflows."""
+    try:
+        return a / b
+    except OverflowError:
+        return inf
 
-    Only signs and within-row ratios are read, and both are invariant
-    under the positive row scales the integer tableau carries. Returns
-    the status and the final reduced-cost row.
+
+def _entering(cost, rhs_col, banned, weights, bland):
+    """The entering column, or None when no reduced cost is negative.
+
+    Candidates are the columns with a negative integer reduced cost. Bland's
+    rule takes the lowest index; Devex takes the largest `d_j**2 / w_j`,
+    ties broken by the lowest index. Each `d_j` is divided by the largest
+    candidate magnitude first, so no conversion overflows and the positive
+    row factor cancels. The score only ranks: a candidate whose score
+    underflows to 0 can still enter.
     """
+    neg = [(j, v) for j, v in cost.items() if v < 0 and j != rhs_col and j not in banned]
+    if not neg:
+        return None
+    if bland:
+        return min(neg)[0]
+    big = -min(v for _, v in neg)
+    return max(neg, key=lambda c: ((c[1] / big) ** 2 / weights.get(c[0], 1.0), -c[0]))[0]
+
+
+def _update_weights(weights, prow, enter, leave_col, rhs_col):
+    """Devex reference weights after pivoting `enter` in for `leave_col`.
+
+    With `a_j` the pivot row's entries, each nonbasic column j gets
+    `max(w_j, (a_j/a_q)**2 * w_q)`, and the leaving column, whose entry in
+    the new pivot row is `a_leave/a_q`, gets `max((a_leave/a_q)**2 * w_q, 1)`.
+    The ratios are within one row, so the row factor cancels; a ratio
+    beyond float range reads as `inf`, which only ranks its column last.
+    """
+    aq = prow[enter]
+    wq = weights.get(enter, 1.0)
+    for j, a in prow.items():
+        if j in (enter, leave_col, rhs_col):
+            continue
+        r = _ratio(a, aq)
+        w = r * r * wq
+        if w > weights.get(j, 1.0):
+            weights[j] = w
+    r = _ratio(prow[leave_col], aq)
+    weights[leave_col] = max(1.0, r * r * wq)
+
+
+def _run_simplex(rows, cost, basis, rhs_col, banned, counts):
+    """Minimize until no negative reduced cost remains.
+
+    Devex pricing picks the entering column from float weights; after
+    `_DEGENERATE_RUN` pivots in a row that leave the objective unchanged,
+    Bland's rule picks it until a pivot strictly improves the objective,
+    so the method cannot cycle. The optimality, unboundedness and ratio
+    tests read only signs and within-row ratios of the integers, which the
+    positive row scales leave unchanged; the ratio test breaks ties by the
+    lowest basic index. `counts` gains the pivots made and, of those, the
+    ones Bland's rule picked. Returns the status and the final
+    reduced-cost row.
+    """
+    weights = {}
+    stall = 0
     for _ in range(_MAX_PIVOTS):
-        enter = min(
-            (j for j, v in cost.items() if v < 0 and j != rhs_col and j not in banned),
-            default=None,
-        )
+        bland = stall >= _DEGENERATE_RUN
+        enter = _entering(cost, rhs_col, banned, weights, bland)
         if enter is None:
             return "optimal", cost
         leave = None
@@ -90,10 +159,16 @@ def _run_simplex(rows, cost, basis, rhs_col, banned):
                 leave = i
         if leave is None:
             return "unbounded", cost
+        stall = stall + 1 if best_b == 0 else 0
+        counts[0] += 1
+        counts[1] += bland
+        leave_col = basis[leave]
         prow = _pivot(rows, basis, leave, enter)
         cost = _eliminate(cost, prow, enter)
+        _update_weights(weights, prow, enter, leave_col, rhs_col)
     raise PivotLimitError(
-        f"simplex stopped after {_MAX_PIVOTS} pivots; this is a bug (Bland's rule cannot cycle)"
+        f"simplex stopped after {_MAX_PIVOTS} pivots; the degenerate-run "
+        "fallback to Bland's rule should make this impossible"
     )
 
 
@@ -168,29 +243,41 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         rows.append(_scaled_ints(row))
 
     banned: set[int] = set()
+    phase1, phase2 = [0, 0], [0, 0]
+    status = "optimal"
     if art_cols:
         cost = _reduced_costs({a: 1 for a in art_cols}, rows, basis)
-        status, cost = _run_simplex(rows, cost, basis, rhs_col, banned)
+        status, cost = _run_simplex(rows, cost, basis, rhs_col, banned, phase1)
         if status != "optimal" or cost.get(rhs_col, 0) < 0:
-            return LpSolution("infeasible", None, ())
-        banned = set(art_cols)
-        # Drive artificials still basic (at zero) out, or drop their rows.
-        keep = []
-        for i in range(len(rows)):
-            if basis[i] in banned:
-                pivot_col = min((j for j in rows[i] if j < art_base), default=None)
-                if pivot_col is None:
-                    continue  # redundant row
-                _pivot(rows, basis, i, pivot_col)
-            keep.append(i)
-        if len(keep) != len(rows):
-            rows = [rows[i] for i in keep]
-            basis = [basis[i] for i in keep]
+            status = "infeasible"
+        else:
+            banned = set(art_cols)
+            # Drive artificials still basic (at zero) out, or drop their rows.
+            keep = []
+            for i in range(len(rows)):
+                if basis[i] in banned:
+                    pivot_col = min((j for j in rows[i] if j < art_base), default=None)
+                    if pivot_col is None:
+                        continue  # redundant row
+                    _pivot(rows, basis, i, pivot_col)
+                keep.append(i)
+            if len(keep) != len(rows):
+                rows = [rows[i] for i in keep]
+                basis = [basis[i] for i in keep]
 
-    cost = _reduced_costs(dict(enumerate(problem.objective)), rows, basis)
-    status, _ = _run_simplex(rows, cost, basis, rhs_col, banned)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, ())
+    if status == "optimal":
+        cost = _reduced_costs(dict(enumerate(problem.objective)), rows, basis)
+        status, _ = _run_simplex(rows, cost, basis, rhs_col, banned, phase2)
+    # Imported on first use: at the top, `logging` would add about a tenth
+    # to the time of `import tempsched`, which runs that need no LP pay too.
+    import logging
+
+    logging.getLogger("tempsched").debug(
+        "solve_lp %s: %d rows, %d columns, pivots phase 1 %d, phase 2 %d, Bland %d",
+        status, len(specs), rhs_col, phase1[0], phase2[0], phase1[1] + phase2[1],
+    )
+    if status != "optimal":
+        return LpSolution(status, None, ())
 
     x = [Fraction(0)] * nstruct
     for row, b in zip(rows, basis):

@@ -134,6 +134,13 @@ class TestSolveMakespan:
         assert main(["solve-makespan", path]) == 0
         assert "makespan: 0" in capsys.readouterr().out
 
+    def test_empty_jobs_check_lp(self, tmp_path, capsys):
+        path = _write(tmp_path, "empty.json", {"alpha": "-1", "beta": "1", "jobs": []})
+        assert main(["solve-makespan", path, "--check-lp"]) == 0
+        captured = capsys.readouterr()
+        assert "makespan: 0" in captured.out
+        assert captured.err == ""
+
     def test_mixed_rates_with_check(self, tmp_path, capsys):
         data = {
             "machines": 1,

@@ -1,9 +1,14 @@
+import itertools
+import logging
 import random
 from fractions import Fraction
 
 import pytest
 
-from tempsched import Constraint, LpProblem, PivotLimitError, SchedulingError, simplex, solve_lp
+from tempsched import (
+    Constraint, LpProblem, PivotLimitError, SchedulingError, build_order_lp, simplex, solve_lp,
+)
+from tempsched.generate import random_instance
 
 from .helpers import random_small_lp, vertex_minimum
 
@@ -16,16 +21,30 @@ def _lp(variables, objective, constraints):
 
 # Non-integer factors; 113 and 999999937 are prime, so denominators grow fast.
 SCALES = (F(355, 113), F(113, 355), F(1, 999999937), F(999999937, 7), F(22, 7))
+# Factors far beyond float range, so that no tableau entry converts to a float.
+HUGE = 10**400
+HUGE_SCALES = (F(HUGE), F(1, HUGE), F(3 * HUGE, 7), F(1))
+
+# Beale (1955): cycles under the textbook largest-coefficient rule; min -1/20.
+BEALE = LpProblem(
+    ("x4", "x5", "x6", "x7"),
+    (F(-3, 4), F(150), F(-1, 50), F(6)),
+    (
+        Constraint("r1", ((0, F(1, 4)), (1, F(-60)), (2, F(-1, 25)), (3, F(9))), "<=", F(0)),
+        Constraint("r2", ((0, F(1, 2)), (1, F(-90)), (2, F(-1, 50)), (3, F(3))), "<=", F(0)),
+        Constraint("r3", ((2, F(1)),), "<=", F(1)),
+    ),
+)
 
 
-def _rescaled(prob, rng):
+def _rescaled(prob, rng, scales=SCALES):
     """The same LP with every column, and every row, multiplied by a factor from
-    SCALES; equality rows are also negated half the time. Substituting
+    `scales`; equality rows are also negated half the time. Substituting
     x_i = s_i * x'_i keeps the optimal value and feasibility unchanged."""
-    col = [rng.choice(SCALES) for _ in prob.variables]
+    col = [rng.choice(scales) for _ in prob.variables]
     cons = []
     for con in prob.constraints:
-        r = rng.choice(SCALES)
+        r = rng.choice(scales)
         if con.relation == "==" and rng.random() < 0.5:
             r = -r
         coeffs = tuple((i, c * col[i] * r) for i, c in con.coeffs)
@@ -205,3 +224,100 @@ class TestAgainstVertexEnumeration:
                 infeasible += 1
         assert optimal >= 30
         assert infeasible >= 5
+
+    def test_coefficients_beyond_float_range(self):
+        # Pricing divides integers in floats; none of these may overflow.
+        b = HUGE
+        prob = _lp(("x", "y"), (F(-b), F(-1)), [
+            Constraint("sum", ((0, F(1)), (1, F(1))), "<=", F(3 * b)),
+            Constraint("xcap", ((0, F(1)),), "<=", F(2)),
+        ])
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        assert sol.value == -5 * b + 2
+        assert sol.x == (F(2), F(3 * b - 2))
+
+        rng = random.Random(400)
+        optimal = 0
+        for _ in range(60):
+            base = random_small_lp(rng)
+            prob = _rescaled(base, rng, HUGE_SCALES)
+            sol = solve_lp(prob)
+            status, value = vertex_minimum(prob)
+            assert sol.status == status, (prob, sol.status, status)
+            if status == "optimal":
+                optimal += 1
+                assert sol.value == value == solve_lp(base).value
+                assert prob.violated_constraints(sol.x) == []
+        assert optimal >= 15
+
+
+def _order_lps():
+    """Every order LP, both objectives, of small seeded instances."""
+    rng = random.Random(1955)
+    for n in range(1, 5):
+        for machines in (1, 2):
+            for common in (True, False):
+                inst = random_instance(rng, n, machines, common_rates=common)
+                for order in itertools.permutations(range(n)):
+                    for objective in ("sum", "makespan"):
+                        yield build_order_lp(inst, order, objective)
+
+
+class TestPricing:
+    """Devex pricing against Bland's rule from the first pivot: the value is
+    exact either way, only the vertex may differ at alternative optima."""
+
+    @staticmethod
+    def _bland(prob, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex, "_DEGENERATE_RUN", 0)
+            return solve_lp(prob)
+
+    def test_random_lps_agree_with_bland(self, monkeypatch):
+        rng = random.Random(1973)
+        for _ in range(120):
+            prob = random_small_lp(rng)
+            if rng.random() < 0.5:
+                prob = _rescaled(prob, rng)
+            devex, bland = solve_lp(prob), self._bland(prob, monkeypatch)
+            assert (devex.status, devex.value) == (bland.status, bland.value)
+
+    def test_order_lps_agree_with_bland(self, monkeypatch):
+        count = 0
+        for prob in _order_lps():
+            devex, bland = solve_lp(prob), self._bland(prob, monkeypatch)
+            assert devex.status == bland.status == "optimal"
+            assert devex.value == bland.value
+            assert prob.violated_constraints(devex.x) == []
+            count += 1
+        assert count == 2 * 2 * 2 * (1 + 2 + 6 + 24)
+
+    @pytest.mark.parametrize("degenerate_run", [0, 1, simplex._DEGENERATE_RUN])
+    def test_beale_cycling_example(self, monkeypatch, degenerate_run):
+        monkeypatch.setattr(simplex, "_DEGENERATE_RUN", degenerate_run)
+        sol = solve_lp(BEALE)
+        assert sol.status == "optimal"
+        assert sol.value == F(-1, 20)
+        assert sol.x == (F(1, 25), F(0), F(1), F(0))
+
+    def test_one_debug_event_per_solve(self, caplog, monkeypatch):
+        pivots = []
+        pivot = simplex._pivot
+
+        def spy(rows, basis, r, col):
+            pivots.append(col)
+            return pivot(rows, basis, r, col)
+
+        monkeypatch.setattr(simplex, "_pivot", spy)
+        monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 1)
+        with caplog.at_level(logging.DEBUG, logger="tempsched"):
+            solve_lp(BEALE)
+            solve_lp(_lp(("x",), (F(1),), [Constraint("eq", ((0, F(1)),), "==", F(-2))]))
+        records = [r for r in caplog.records if r.name == "tempsched"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        status, rows, columns, phase1, phase2, bland = records[0].args
+        assert (status, rows, columns, phase1) == ("optimal", 3, 7, 0)
+        assert phase2 == len(pivots) and 0 < bland <= phase2
+        assert "Bland" in records[0].getMessage()
+        assert records[1].args[:4] == ("infeasible", 1, 2, 0)
