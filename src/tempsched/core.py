@@ -65,6 +65,12 @@ def as_rational(value: RationalLike, what: str = "value") -> Fraction:
     raise InputError(f"{what}: unsupported type {type(value).__name__}")
 
 
+def positive_int(value: int, what: str) -> None:
+    """Raise InputError unless `value` is an int, not a bool, of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{what} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Job:
     """One job: processing time `p`, cooling rate `alpha` (< 0), heating
@@ -108,8 +114,7 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "jobs", tuple(self.jobs))
-        if isinstance(self.machines, bool) or not isinstance(self.machines, int) or self.machines < 1:
-            raise InputError(f"machine count must be a positive integer, got {self.machines!r}")
+        positive_int(self.machines, "machine count")
         ids = [job.id for job in self.jobs]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})

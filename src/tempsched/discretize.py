@@ -29,6 +29,7 @@ from .core import (
     as_rational,
     loads_from_normal,
     natural_from_intervals,
+    positive_int,
 )
 from .dynamics import FeasibilityReport, check_feasibility
 
@@ -74,8 +75,7 @@ def time_slice(instance: Instance, schedule: NormalSchedule, k: int) -> NaturalS
     Per-interval work per job is preserved exactly; each completion lands
     within one slice length of its fractional counterpart.
     """
-    if not isinstance(k, int) or k < 1:
-        raise InputError(f"slice count must be a positive integer, got {k!r}")
+    positive_int(k, "slice count")
     if schedule.n != instance.n:
         raise InputError(f"schedule covers {schedule.n} jobs, instance has {instance.n}")
     raw: dict[str, list[tuple[Fraction, Fraction]]] = {job.id: [] for job in instance.jobs}
@@ -112,6 +112,7 @@ def discretize_auto(
     and slicing error vanishes as k grows; the ceiling only guards against
     misuse.
     """
+    positive_int(k_ceiling, "k ceiling")
     report = check_feasibility(instance, schedule)
     if not report.feasible:
         kinds = ", ".join(sorted({v.kind for v in report.violations}))

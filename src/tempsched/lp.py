@@ -2,15 +2,16 @@
 
 For a fixed completion order the feasible normal schedules form a
 polyhedron in the completion times C_i, the cumulative-work matrix W_i_j,
-and a temperature-witness matrix T_i_j (all nonnegative). `build_order_lp`
+and a temperature witness T_i_j (all nonnegative). `build_order_lp`
 emits that polyhedron's constraints together with either the
 sum-of-completions or the makespan objective; `extract_schedule` turns an
 optimal vertex back into a `NormalSchedule`.
 
 Indices inside the LP are completion positions: W_1_2 is the work done on
-the job completing second, measured at the first completion time. Work on
-a job already complete is its processing time, so only W_i_j with i < j
-is a variable of the LP.
+the job completing second, measured at the first completion time, and
+position 0 is time 0. A complete job's work is its processing time and
+it only cools, so only W_i_j with i < j and T_i_j with i <= j are
+variables of the LP; `extract_schedule` reads T_i_j for i > j as T_j_j.
 
 A point `x` of an LP holds one value per column. `_col_c`, `_col_w` and
 `_col_t` lay out the order LP's columns for both `build_order_lp` and
@@ -60,6 +61,11 @@ class LpProblem:
     def __post_init__(self):
         if len(self.objective) != len(self.variables):
             raise InputError("objective length must match variable count")
+        for con in self.constraints:
+            if con.relation not in ("<=", "=="):
+                raise InputError(f"{con.name}: relation must be <= or ==, got {con.relation!r}")
+            if any(not 0 <= i < len(self.variables) for i, _ in con.coeffs):
+                raise InputError(f"{con.name}: a coefficient names no variable")
 
     def violated_constraints(self, x: Sequence[Fraction]) -> list[str]:
         """Names of constraints (or nonnegativity bounds) the point `x`, one
@@ -101,34 +107,35 @@ def _col_w(n: int, i: int, j: int) -> int:
 
 
 def _col_t(n: int, i: int, j: int) -> int:
-    """Column of T_i_j: the n x n temperature witness comes last."""
-    return n + n * (n - 1) // 2 + (i - 1) * n + (j - 1)
+    """Column of T_i_j, i <= j: the temperature witness comes last, row by row."""
+    return n + n * (n - 1) // 2 + (i - 1) * (2 * n + 2 - i) // 2 + (j - i)
 
 
 def build_order_lp(instance: Instance, order: Sequence[int], objective: Objective) -> LpProblem:
     """Emit the exact LP for the best normal schedule completing jobs in
     `order` (instance indices, first to complete first).
 
-    Positions i and j are 1-based: job j completes j-th. From its
-    completion on a job's cumulative work is its processing time, so
-    W_i_j = p_j for i >= j is a constant, not a variable. Only the live
-    variables are declared, in the column order of `_col_c`, `_col_w`
-    and `_col_t`:
+    Positions i and j are 1-based: job j completes j-th, and position 0 is
+    time 0, where C_0, W_0_j and T_0_j are 0. From its completion on a
+    job's cumulative work is its processing time, so W_i_j = p_j for
+    i >= j is a constant, not a variable; the job then only cools, so
+    T_j_j bounds its temperature for good. Only the live variables are
+    declared, in the column order of `_col_c`, `_col_w` and `_col_t`:
       * C_i, the i-th completion time;
       * W_i_j for i < j, the work done on job j by C_i, row by row;
-      * T_i_j, the temperature witness of job j at C_i.
-    Pinned work terms move to the right-hand side.
+      * T_i_j for i <= j, job j's temperature witness at C_i, row by row.
+    Constant terms move to the right-hand side.
 
     Constraint families, in emission order:
-      * work_monotone_i_j (i <= j): work never decreases between
+      * work_monotone_i_j (1 < i <= j): work never decreases between
         breakpoints; for i = j it caps W_(j-1)_j at p_j;
       * manage_i: per interval, total new work fits in m machine-time;
-      * order_i: completion times are nondecreasing;
+      * order_i (i > 1): completion times are nondecreasing;
       * rate_i_j (only m > 1, j >= i): per interval, a running job gets
         at most one machine (for a completed job, j < i, this is order_i);
-      * temp_start_j / temp_step_i_j: the temperature recursion
-        lower-bounds the witness T over each interval;
-      * temp_cap_i_j: the witness stays at or below the threshold 1.
+      * temp_step_i_j (i <= j): the temperature recursion lower-bounds
+        the witness T over the interval from C_(i-1) to C_i;
+      * temp_cap_i_j (i <= j): the witness stays at most the threshold 1.
     With one job, rate_1_1 (C_1 >= p_1) implies manage_1 (m C_1 >= p_1),
     so a one-job LP is built with m = 1: manage_1 is then that rate row.
     """
@@ -145,22 +152,25 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
 
     names: list[str] = [f"C_{i}" for i in range(1, n + 1)]
     names += [f"W_{i}_{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    names += [f"T_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-    C = _col_c
+    names += [f"T_{i}_{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
+    zero, one = Fraction(0), Fraction(1)
+
+    # Each helper returns the term coeff * variable as (column, coeff), or
+    # (None, value) for a constant: position 0 and pinned work.
+    def C(i: int, coeff: Fraction) -> tuple[int | None, Fraction]:
+        return (_col_c(i), coeff) if i else (None, zero)
 
     def W(i: int, j: int, coeff: Fraction) -> tuple[int | None, Fraction]:
-        """The term coeff * W_i_j; column None marks the constant coeff * p_j."""
         if i < j:
-            return _col_w(n, i, j), coeff
+            return (_col_w(n, i, j), coeff) if i else (None, zero)
         return None, coeff * jobs[j - 1].p
 
-    def T(i: int, j: int) -> int:
-        return _col_t(n, i, j)
+    def T(i: int, j: int, coeff: Fraction) -> tuple[int | None, Fraction]:
+        return (_col_t(n, i, j), coeff) if i else (None, zero)
 
-    one = Fraction(1)
     cons: list[Constraint] = []
 
-    def emit(name: str, terms, rhs: Fraction = Fraction(0)) -> None:
+    def emit(name: str, terms, rhs: Fraction = zero) -> None:
         coeffs = []
         for col, c in terms:
             if col is None:
@@ -174,49 +184,41 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
             emit(f"work_monotone_{i}_{j}", (W(i - 1, j, one), W(i, j, -one)))
     for i in range(1, n + 1):
         terms = [W(i, j, one) for j in range(1, n + 1)]
-        if i > 1:
-            terms += [W(i - 1, j, -one) for j in range(1, n + 1)]
-            terms += [(C(i), Fraction(-m)), (C(i - 1), Fraction(m))]
-        else:
-            terms += [(C(i), Fraction(-m))]
-        emit(f"manage_{i}", terms)
+        terms += [W(i - 1, j, -one) for j in range(1, n + 1)]
+        emit(f"manage_{i}", terms + [C(i, Fraction(-m)), C(i - 1, Fraction(m))])
     for i in range(2, n + 1):
-        emit(f"order_{i}", ((C(i - 1), one), (C(i), -one)))
+        emit(f"order_{i}", (C(i - 1, one), C(i, -one)))
     if m > 1:
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                terms = [W(i, j, one), (C(i), -one)]
-                if i > 1:
-                    terms += [W(i - 1, j, -one), (C(i - 1), one)]
-                emit(f"rate_{i}_{j}", terms)
-    for j in range(1, n + 1):
-        a, b = jobs[j - 1].alpha, jobs[j - 1].beta
-        emit(f"temp_start_{j}", ((C(1), a), W(1, j, b - a), (T(1, j), -one)))
-    for i in range(2, n + 1):
-        for j in range(1, n + 1):
+                emit(f"rate_{i}_{j}", (
+                    W(i, j, one), C(i, -one), W(i - 1, j, -one), C(i - 1, one),
+                ))
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
             a, b = jobs[j - 1].alpha, jobs[j - 1].beta
             emit(f"temp_step_{i}_{j}", (
-                (C(i), a), (C(i - 1), -a),
+                C(i, a), C(i - 1, -a),
                 W(i, j, b - a), W(i - 1, j, -(b - a)),
-                (T(i, j), -one), (T(i - 1, j), one),
+                T(i, j, -one), T(i - 1, j, one),
             ))
     for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            emit(f"temp_cap_{i}_{j}", ((T(i, j), one),), one)
+        for j in range(i, n + 1):
+            emit(f"temp_cap_{i}_{j}", (T(i, j, one),), one)
 
-    obj = [Fraction(0)] * len(names)
+    obj = [zero] * len(names)
     if objective == "sum":
         for i in range(1, n + 1):
-            obj[C(i)] = one
+            obj[_col_c(i)] = one
     else:
-        obj[C(n)] = one
+        obj[_col_c(n)] = one
 
     return LpProblem(tuple(names), tuple(obj), tuple(cons))
 
 
 def constraint_count(n: int, machines: int) -> int:
     """Closed-form size of the constraint list emitted by build_order_lp."""
-    count = (5 * n * n + 3 * n) // 2 - 1
+    count = (3 * n * n + 5 * n) // 2 - 1
     if machines > 1 and n > 1:
         count += n * (n + 1) // 2
     return count
@@ -227,7 +229,8 @@ def extract_schedule(
 ) -> NormalSchedule:
     """Turn an optimal order-LP vertex into the corresponding normal
     schedule (work columns mapped back to instance job indices, pinned
-    work filled in from p, the T values kept as the feasibility witness)."""
+    work filled in from p, the T values kept as the feasibility witness,
+    with a completed job's T_j_j carried on to every later position)."""
     if solution.status != "optimal":
         raise NoScheduleError(f"no schedule available: solver status is {solution.status}")
     n = instance.n
@@ -240,7 +243,7 @@ def extract_schedule(
         for j in range(1, n + 1):
             k = order[j - 1]
             work[i - 1][k] = x[_col_w(n, i, j)] if i < j else instance.jobs[k].p
-            temps[i - 1][k] = x[_col_t(n, i, j)]
+            temps[i - 1][k] = x[_col_t(n, min(i, j), j)]
     return NormalSchedule(
         order=order,
         completions=completions,

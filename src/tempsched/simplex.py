@@ -201,12 +201,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     for con in problem.constraints:
         coeffs = {v: c for v, c in con.coeffs if c != 0}
         rel, rhs = con.relation, con.rhs
-        if coeffs:
-            # Phase 1 weighs each artificial by its row's scale, so the
-            # scale fixes the pivots: divide by the lowest-index magnitude.
-            scale = abs(coeffs[min(coeffs)])
-            coeffs = {v: c / scale for v, c in coeffs.items()}
-            rhs = rhs / scale
         if rhs < 0:
             rhs = -rhs
             coeffs = {v: -c for v, c in coeffs.items()}
@@ -224,17 +218,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     art_cols = []
     for coeffs, rel, rhs in specs:
         row = {**coeffs, rhs_col: rhs}
+        if rel != "==":
+            row[slack_idx] = 1 if rel == "<=" else -1
+            slack_idx += 1
         if rel == "<=":
-            row[slack_idx] = 1
-            basis.append(slack_idx)
-            slack_idx += 1
-        elif rel == ">=":
-            row[slack_idx] = -1
-            slack_idx += 1
-            row[art_idx] = 1
-            basis.append(art_idx)
-            art_cols.append(art_idx)
-            art_idx += 1
+            basis.append(slack_idx - 1)
         else:
             row[art_idx] = 1
             basis.append(art_idx)

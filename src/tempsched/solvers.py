@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .core import Instance, InputError, Job, NormalSchedule, normalize
+from .core import Instance, InputError, Job, NormalSchedule, normalize, positive_int
 from .lp import LpSolution, NoScheduleError, Objective, build_order_lp, extract_schedule
 from .simplex import solve_lp
 
@@ -61,6 +61,7 @@ def solve_sum(instance: Instance) -> tuple[NormalSchedule, Fraction]:
 def _best_order(
     instance: Instance, objective: Objective, cap: int
 ) -> tuple[tuple[int, ...], Fraction, LpSolution]:
+    positive_int(cap, "brute-force cap")
     if instance.n == 0:
         raise InputError("cannot solve an instance with no jobs")
     if instance.n > cap:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tempsched import (
+    Constraint,
     Instance,
     InputError,
     Job,
@@ -16,6 +17,7 @@ from tempsched import (
     extract_schedule,
     loads_from_normal,
     lp,
+    LpProblem,
     lp_text,
     min_makespan_single,
     solve_lp,
@@ -28,10 +30,10 @@ F = Fraction
 class TestBuildOrderLp:
     def test_golden_two_job_lp(self, twin_instance):
         prob = build_order_lp(twin_instance, (0, 1), "sum")
-        assert len(prob.constraints) == constraint_count(2, 1) == 12
-        assert prob.variables == ("C_1", "C_2", "W_1_2", "T_1_1", "T_1_2", "T_2_1", "T_2_2")
+        assert len(prob.constraints) == constraint_count(2, 1) == 10
+        assert prob.variables == ("C_1", "C_2", "W_1_2", "T_1_1", "T_1_2", "T_2_2")
         by_name = {c.name: c for c in prob.constraints}
-        start = by_name["temp_start_1"]
+        start = by_name["temp_step_1_1"]
         coeffs = {prob.variables[i]: c for i, c in start.coeffs}
         # W_1_1 = p_1 = 2 is pinned: its 4/3 * 2 moves to the right-hand side
         assert coeffs == {"C_1": F(-1, 3), "T_1_1": F(-1)}
@@ -52,7 +54,7 @@ class TestBuildOrderLp:
                 for objective in ("sum", "makespan"):
                     prob = build_order_lp(inst, tuple(range(n)), objective)
                     assert len(prob.constraints) == constraint_count(n, m)
-                    assert len(prob.variables) == n + n * (n - 1) // 2 + n * n
+                    assert len(prob.variables) == n + n * n
 
     def test_column_functions_lay_out_the_named_columns(self):
         # extract_schedule reads columns through these, lp_text through names
@@ -62,12 +64,12 @@ class TestBuildOrderLp:
             at = {lp._col_c(i): f"C_{i}" for i in range(1, n + 1)}
             for i in range(1, n + 1):
                 at.update({lp._col_w(n, i, j): f"W_{i}_{j}" for j in range(i + 1, n + 1)})
-                at.update({lp._col_t(n, i, j): f"T_{i}_{j}" for j in range(1, n + 1)})
+                at.update({lp._col_t(n, i, j): f"T_{i}_{j}" for j in range(i, n + 1)})
             assert [at[col] for col in range(len(names))] == list(names)
 
     def test_emitted_rows_need_no_presolve(self):
-        # no empty row, no variable pinned by a one-variable equality, and no
-        # two rows equal up to a positive factor
+        # no empty row, no variable pinned by a one-variable equality, no
+        # two rows equal up to a positive factor, and no column in no row
         rng = random.Random(10)
         for n in range(1, 7):
             for m in (1, 2, 3):
@@ -83,6 +85,8 @@ class TestBuildOrderLp:
                         key = (con.relation, tuple((i, c / scale) for i, c in coeffs))
                         assert key not in seen, con.name
                         seen.add(key)
+                    used = {i for con in prob.constraints for i, c in con.coeffs if c != 0}
+                    assert used == set(range(len(prob.variables)))
 
     def test_empty_instance_rejected(self):
         with pytest.raises(InputError):
@@ -98,6 +102,20 @@ class TestBuildOrderLp:
             prob.variables[i]: c for i, c in enumerate(prob.objective) if c != 0
         }
         assert nonzero == {"C_2": F(1)}
+
+
+class TestLpProblem:
+    def test_unknown_relation_rejected(self):
+        # solve_lp reads any relation other than "<=" as "=="
+        with pytest.raises(InputError):
+            LpProblem(("x",), (F(1),), (Constraint("c", ((0, F(1)),), ">=", F(-2)),))
+
+    def test_coefficient_outside_the_columns_rejected(self):
+        # solve_lp would give the stray index its own column
+        with pytest.raises(InputError):
+            LpProblem(("x", "y"), (F(1), F(1)), (Constraint("c", ((3, F(1)),), "<=", F(-4)),))
+        with pytest.raises(InputError):
+            LpProblem(("x",), (F(1),), (Constraint("c", ((-1, F(1)),), "<=", F(1)),))
 
 
 class TestSolveGoldenLp:
@@ -149,7 +167,8 @@ class TestLpProperties:
 
     def test_witness_upper_bounds_real_temperatures(self):
         # converse direction: an LP-feasible (C, W, T) yields a schedule
-        # whose simulated temperatures never exceed the witness
+        # whose simulated temperatures never exceed the witness; a completed
+        # job only cools, so its witness stays put from its completion on
         from tempsched import simulate
 
         rng = random.Random(27)
@@ -166,6 +185,9 @@ class TestLpProperties:
                     simulated = traj.temperatures[j][index[c]]
                     witness = sched.temperatures[i][j]
                     assert simulated <= witness <= 1
+                    done = order.index(j)
+                    if i > done:
+                        assert witness == sched.temperatures[done][j]
 
     def test_scaling_property(self):
         # p -> lam * p with rates divided by lam scales all completions by lam
@@ -223,6 +245,6 @@ class TestLpText:
         assert text.startswith("Minimize")
         assert "obj: C_1 + C_2" in text
         assert "work_monotone_2_2: W_1_2 <= 2" in text
-        assert "temp_start_1: -1/3 C_1 - T_1_1 <= -8/3" in text
-        assert "temp_start_2: -1/3 C_1 + 4/3 W_1_2 - T_1_2 <= 0" in text
+        assert "temp_step_1_1: -1/3 C_1 - T_1_1 <= -8/3" in text
+        assert "temp_step_1_2: -1/3 C_1 + 4/3 W_1_2 - T_1_2 <= 0" in text
         assert text.rstrip().endswith("End")

@@ -14,6 +14,7 @@ from tempsched import (
     NoScheduleError,
     build_order_lp,
     check_feasibility,
+    discretize_auto,
     min_makespan_over_orders,
     min_makespan_single,
     solve_lp,
@@ -22,6 +23,7 @@ from tempsched import (
     solve_sum_bruteforce,
     spt_order,
     solvers,
+    time_slice,
 )
 from tempsched.generate import random_instance
 
@@ -208,3 +210,21 @@ class TestManyMachines:
             assert value == expected
             mk, _ = solve_makespan(inst)
             assert mk == max(min_makespan_single(j) for j in inst.jobs)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, F(2), "3", 0], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst, sched, v: time_slice(inst, sched, v),
+        lambda inst, sched, v: discretize_auto(inst, sched, 2, k_ceiling=v),
+        lambda inst, sched, v: solve_sum_bruteforce(inst, cap=v),
+        lambda inst, sched, v: min_makespan_over_orders(inst, cap=v),
+    ],
+    ids=["time_slice-k", "discretize_auto-k_ceiling", "bruteforce-cap", "over_orders-cap"],
+)
+def test_count_arguments_must_be_positive_ints(call, bad, twin_instance, twin_optimum):
+    # bool is an int subclass: True would slice with k=1, and a float cap
+    # would be compared as a number
+    with pytest.raises(InputError):
+        call(twin_instance, twin_optimum, bad)
