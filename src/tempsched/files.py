@@ -63,9 +63,6 @@ def parse_instance(data: Any) -> Instance:
     """Build an Instance from decoded instance-file JSON."""
     if not isinstance(data, dict):
         raise InputError("instance file must contain a JSON object")
-    machines = data.get("machines", 1)
-    if not isinstance(machines, int) or isinstance(machines, bool):
-        raise InputError(f"machines must be an integer, got {machines!r}")
     jobs_data = data.get("jobs")
     if not isinstance(jobs_data, list):
         raise InputError('instance file needs a "jobs" array')
@@ -86,16 +83,8 @@ def parse_instance(data: Any) -> Instance:
             raise InputError(f"job {job_id}: no alpha given (neither per-job nor global)")
         if beta is None:
             raise InputError(f"job {job_id}: no beta given (neither per-job nor global)")
-        threshold = entry.get("threshold")
-        jobs.append(Job(
-            id=job_id,
-            p=as_rational(entry["p"], f"job {job_id}: p"),
-            alpha=as_rational(alpha, f"job {job_id}: alpha"),
-            beta=as_rational(beta, f"job {job_id}: beta"),
-            threshold=None if threshold is None
-            else as_rational(threshold, f"job {job_id}: threshold"),
-        ))
-    return Instance(tuple(jobs), machines)
+        jobs.append(Job(job_id, entry["p"], alpha, beta, entry.get("threshold")))
+    return Instance(tuple(jobs), data.get("machines", 1))
 
 
 def load_instance(path: Union[str, Path]) -> Instance:

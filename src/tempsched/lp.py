@@ -1,19 +1,21 @@
 """Linear programs over completion orders.
 
 For a fixed completion order the feasible normal schedules form a
-polyhedron in the completion times C_i, the cumulative-work matrix W_i_j,
-and a temperature witness T_i_j (all nonnegative). `build_order_lp`
-emits that polyhedron's constraints together with either the
-sum-of-completions or the makespan objective; `extract_schedule` turns an
-optimal vertex back into a `NormalSchedule`.
+polyhedron in the interval lengths D_i between consecutive completions,
+the work w_i_j done on each job in each interval, and a temperature
+witness T_i_j (all nonnegative). `build_order_lp` emits that polyhedron's
+constraints together with either the sum-of-completions or the makespan
+objective; `extract_schedule` turns an optimal vertex back into a
+`NormalSchedule`, whose completion times and cumulative work are prefix
+sums of D and w.
 
-Indices inside the LP are completion positions: W_1_2 is the work done on
-the job completing second, measured at the first completion time, and
-position 0 is time 0. A complete job's work is its processing time and
-it only cools, so only W_i_j with i < j and T_i_j with i <= j are
-variables of the LP; `extract_schedule` reads T_i_j for i > j as T_j_j.
+Indices inside the LP are completion positions: w_1_2 is the work done on
+the job completing second during the first interval, from time 0 to the
+first completion. A job does no work after it completes, and it only
+cools, so only w_i_j and T_i_j with i <= j are variables of the LP;
+`extract_schedule` reads T_i_j for i > j as T_j_j.
 
-A point `x` of an LP holds one value per column. `_col_c`, `_col_w` and
+A point `x` of an LP holds one value per column. `_col_d`, `_col_w` and
 `_col_t` lay out the order LP's columns for both `build_order_lp` and
 `extract_schedule`; the names in `LpProblem.variables` serve only
 `lp_text` and `violated_constraints`.
@@ -40,6 +42,11 @@ class PivotLimitError(SchedulingError):
     reported as a typed failure rather than a crash."""
 
 
+def _exact(value) -> bool:
+    """True for an int or a Fraction; bools and floats are not exact numbers."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Constraint:
     """Sparse linear constraint: sum(coeff * var) <relation> rhs."""
@@ -61,15 +68,24 @@ class LpProblem:
     def __post_init__(self):
         if len(self.objective) != len(self.variables):
             raise InputError("objective length must match variable count")
+        if not all(map(_exact, self.objective)):
+            raise InputError("objective entries must be ints or Fractions")
         for con in self.constraints:
             if con.relation not in ("<=", "=="):
                 raise InputError(f"{con.name}: relation must be <= or ==, got {con.relation!r}")
             if any(not 0 <= i < len(self.variables) for i, _ in con.coeffs):
                 raise InputError(f"{con.name}: a coefficient names no variable")
+            if not (_exact(con.rhs) and all(_exact(c) for _, c in con.coeffs)):
+                raise InputError(f"{con.name}: coefficients and right-hand side must be ints or Fractions")
+
+    def _check_point(self, x: Sequence[Fraction]) -> None:
+        if len(x) != len(self.variables):
+            raise InputError(f"point has {len(x)} values, the problem has {len(self.variables)} columns")
 
     def violated_constraints(self, x: Sequence[Fraction]) -> list[str]:
         """Names of constraints (or nonnegativity bounds) the point `x`, one
         value per column, breaks; empty list means the point is feasible."""
+        self._check_point(x)
         bad = [f"nonneg({v})" for v, xi in zip(self.variables, x) if xi < 0]
         for con in self.constraints:
             lhs = sum((c * x[i] for i, c in con.coeffs), Fraction(0))
@@ -79,6 +95,7 @@ class LpProblem:
         return bad
 
     def objective_value(self, x: Sequence[Fraction]) -> Fraction:
+        self._check_point(x)
         return sum((c * xi for c, xi in zip(self.objective, x)), Fraction(0))
 
 
@@ -96,129 +113,126 @@ class LpSolution:
 Objective = Literal["sum", "makespan"]
 
 
-def _col_c(i: int) -> int:
-    """Column of C_i (positions are 1-based): the completions come first."""
+def _tri(n: int, i: int, j: int) -> int:
+    """Index of (i, j), i <= j, in the upper triangle of an n x n table
+    laid out row by row: (1, 1) is 0 and (n, n) is n(n+1)/2 - 1."""
+    return (i - 1) * (2 * n + 2 - i) // 2 + (j - i)
+
+
+def _col_d(i: int) -> int:
+    """Column of D_i (positions are 1-based): the interval lengths come first."""
     return i - 1
 
 
 def _col_w(n: int, i: int, j: int) -> int:
-    """Column of W_i_j, i < j: the live work follows, row by row."""
-    return n + (i - 1) * (2 * n - i) // 2 + (j - i - 1)
+    """Column of w_i_j, i <= j and (i, j) != (1, 1): the per-interval work
+    follows, row by row."""
+    return n - 1 + _tri(n, i, j)
 
 
 def _col_t(n: int, i: int, j: int) -> int:
     """Column of T_i_j, i <= j: the temperature witness comes last, row by row."""
-    return n + n * (n - 1) // 2 + (i - 1) * (2 * n + 2 - i) // 2 + (j - i)
+    return n - 1 + n * (n + 1) // 2 + _tri(n, i, j)
+
+
+def _check_order(n: int, order: Sequence[int]) -> None:
+    if sorted(order) != list(range(n)):
+        raise InputError(f"order must be a permutation of 0..{n - 1}")
 
 
 def build_order_lp(instance: Instance, order: Sequence[int], objective: Objective) -> LpProblem:
     """Emit the exact LP for the best normal schedule completing jobs in
     `order` (instance indices, first to complete first).
 
-    Positions i and j are 1-based: job j completes j-th, and position 0 is
-    time 0, where C_0, W_0_j and T_0_j are 0. From its completion on a
-    job's cumulative work is its processing time, so W_i_j = p_j for
-    i >= j is a constant, not a variable; the job then only cools, so
-    T_j_j bounds its temperature for good. Only the live variables are
-    declared, in the column order of `_col_c`, `_col_w` and `_col_t`:
-      * C_i, the i-th completion time;
-      * W_i_j for i < j, the work done on job j by C_i, row by row;
-      * T_i_j for i <= j, job j's temperature witness at C_i, row by row.
-    Constant terms move to the right-hand side.
+    Positions i and j are 1-based: job j completes j-th, and interval i
+    runs from the (i-1)-th completion to the i-th, the first from time 0.
+    The columns, in the order of `_col_d`, `_col_w` and `_col_t`, are:
+      * D_i, the length of interval i;
+      * w_i_j for i <= j, the work done on job j during interval i, row
+        by row; a job does no work after it completes, so w_i_j for i > j
+        is 0 and not a column. The first job does all its work in
+        interval 1, so w_1_1 is the constant p of that job;
+      * T_i_j for i <= j, job j's temperature witness at the i-th
+        completion, row by row. A completed job only cools, so T_j_j
+        bounds its temperature for good.
+    Completion times and cumulative work are prefix sums of D and w, so
+    both are nondecreasing by the columns' nonnegativity alone. Constant
+    terms move to the right-hand side.
 
     Constraint families, in emission order:
-      * work_monotone_i_j (1 < i <= j): work never decreases between
-        breakpoints; for i = j it caps W_(j-1)_j at p_j;
-      * manage_i: per interval, total new work fits in m machine-time;
-      * order_i (i > 1): completion times are nondecreasing;
+      * done_j (j >= 2): the work on job j over intervals 1..j is p_j;
+      * manage_i: per interval, total work fits in m machine-time;
       * rate_i_j (only m > 1, j >= i): per interval, a running job gets
-        at most one machine (for a completed job, j < i, this is order_i);
+        at most one machine;
       * temp_step_i_j (i <= j): the temperature recursion lower-bounds
-        the witness T over the interval from C_(i-1) to C_i;
+        the witness T over interval i; T_0_j = 0 drops out for i = 1;
       * temp_cap_i_j (i <= j): the witness stays at most the threshold 1.
-    With one job, rate_1_1 (C_1 >= p_1) implies manage_1 (m C_1 >= p_1),
+    With one job, rate_1_1 (D_1 >= p_1) implies manage_1 (m D_1 >= p_1),
     so a one-job LP is built with m = 1: manage_1 is then that rate row.
+
+    The sum of completions is sum_i (n - i + 1) D_i, since D_i is part of
+    every completion from the i-th on; the makespan is sum_i D_i.
     """
     instance = normalize(instance)
     n = instance.n
     if n == 0:
         raise InputError("cannot build an LP for an instance with no jobs")
-    if sorted(order) != list(range(n)):
-        raise InputError(f"order must be a permutation of 0..{n - 1}")
+    _check_order(n, order)
     if objective not in ("sum", "makespan"):
         raise InputError(f"unknown objective {objective!r}")
     m = instance.machines if n > 1 else 1
     jobs = [instance.jobs[k] for k in order]  # jobs[j-1] completes j-th
 
-    names: list[str] = [f"C_{i}" for i in range(1, n + 1)]
-    names += [f"W_{i}_{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    names: list[str] = [f"D_{i}" for i in range(1, n + 1)]
+    names += [f"w_{i}_{j}" for i in range(1, n + 1) for j in range(max(i, 2), n + 1)]
     names += [f"T_{i}_{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
     zero, one = Fraction(0), Fraction(1)
 
-    # Each helper returns the term coeff * variable as (column, coeff), or
-    # (None, value) for a constant: position 0 and pinned work.
-    def C(i: int, coeff: Fraction) -> tuple[int | None, Fraction]:
-        return (_col_c(i), coeff) if i else (None, zero)
-
-    def W(i: int, j: int, coeff: Fraction) -> tuple[int | None, Fraction]:
-        if i < j:
-            return (_col_w(n, i, j), coeff) if i else (None, zero)
-        return None, coeff * jobs[j - 1].p
-
-    def T(i: int, j: int, coeff: Fraction) -> tuple[int | None, Fraction]:
-        return (_col_t(n, i, j), coeff) if i else (None, zero)
+    def w(i: int, j: int, coeff: Fraction) -> tuple[int | None, Fraction]:
+        """The term coeff * w_i_j as (column, coeff), or (None, value) for
+        the constant w_1_1."""
+        return (None, coeff * jobs[0].p) if i == j == 1 else (_col_w(n, i, j), coeff)
 
     cons: list[Constraint] = []
 
-    def emit(name: str, terms, rhs: Fraction = zero) -> None:
+    def emit(name: str, terms, relation: Relation = "<=", rhs: Fraction = zero) -> None:
         coeffs = []
         for col, c in terms:
             if col is None:
                 rhs -= c
             else:
                 coeffs.append((col, c))
-        cons.append(Constraint(name, tuple(coeffs), "<=", rhs))
+        cons.append(Constraint(name, tuple(coeffs), relation, rhs))
 
-    for j in range(1, n + 1):
-        for i in range(2, j + 1):
-            emit(f"work_monotone_{i}_{j}", (W(i - 1, j, one), W(i, j, -one)))
+    for j in range(2, n + 1):
+        emit(f"done_{j}", [w(i, j, one) for i in range(1, j + 1)], "==", jobs[j - 1].p)
     for i in range(1, n + 1):
-        terms = [W(i, j, one) for j in range(1, n + 1)]
-        terms += [W(i - 1, j, -one) for j in range(1, n + 1)]
-        emit(f"manage_{i}", terms + [C(i, Fraction(-m)), C(i - 1, Fraction(m))])
-    for i in range(2, n + 1):
-        emit(f"order_{i}", (C(i - 1, one), C(i, -one)))
+        emit(f"manage_{i}", [w(i, j, one) for j in range(i, n + 1)] + [(_col_d(i), Fraction(-m))])
     if m > 1:
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                emit(f"rate_{i}_{j}", (
-                    W(i, j, one), C(i, -one), W(i - 1, j, -one), C(i - 1, one),
-                ))
+                emit(f"rate_{i}_{j}", (w(i, j, one), (_col_d(i), -one)))
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             a, b = jobs[j - 1].alpha, jobs[j - 1].beta
-            emit(f"temp_step_{i}_{j}", (
-                C(i, a), C(i - 1, -a),
-                W(i, j, b - a), W(i - 1, j, -(b - a)),
-                T(i, j, -one), T(i - 1, j, one),
-            ))
+            terms = [(_col_d(i), a), w(i, j, b - a), (_col_t(n, i, j), -one)]
+            if i > 1:
+                terms.append((_col_t(n, i - 1, j), one))
+            emit(f"temp_step_{i}_{j}", terms)
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            emit(f"temp_cap_{i}_{j}", (T(i, j, one),), one)
+            emit(f"temp_cap_{i}_{j}", ((_col_t(n, i, j), one),), rhs=one)
 
     obj = [zero] * len(names)
-    if objective == "sum":
-        for i in range(1, n + 1):
-            obj[_col_c(i)] = one
-    else:
-        obj[_col_c(n)] = one
+    for i in range(1, n + 1):
+        obj[_col_d(i)] = Fraction(n - i + 1) if objective == "sum" else one
 
     return LpProblem(tuple(names), tuple(obj), tuple(cons))
 
 
 def constraint_count(n: int, machines: int) -> int:
     """Closed-form size of the constraint list emitted by build_order_lp."""
-    count = (3 * n * n + 5 * n) // 2 - 1
+    count = n * n + 3 * n - 1
     if machines > 1 and n > 1:
         count += n * (n + 1) // 2
     return count
@@ -228,28 +242,33 @@ def extract_schedule(
     instance: Instance, order: Sequence[int], solution: LpSolution
 ) -> NormalSchedule:
     """Turn an optimal order-LP vertex into the corresponding normal
-    schedule (work columns mapped back to instance job indices, pinned
-    work filled in from p, the T values kept as the feasibility witness,
-    with a completed job's T_j_j carried on to every later position)."""
+    schedule: completions and cumulative work are prefix sums of the
+    interval lengths D and the per-interval work w (mapped back to
+    instance job indices, w_1_1 filled in from p), and the T values are
+    kept as the feasibility witness, with a completed job's T_j_j carried
+    on to every later position."""
     if solution.status != "optimal":
         raise NoScheduleError(f"no schedule available: solver status is {solution.status}")
     n = instance.n
-    order = tuple(order)
+    _check_order(n, order)
     x = solution.x
-    completions = tuple(x[_col_c(i)] for i in range(1, n + 1))
-    work = [[Fraction(0)] * n for _ in range(n)]
-    temps = [[Fraction(0)] * n for _ in range(n)]
+    columns = _col_t(n, n, n) + 1
+    if len(x) != columns:
+        raise InputError(f"solution has {len(x)} values, the order LP has {columns} columns")
+    t = Fraction(0)
+    done = [Fraction(0)] * n  # cumulative work, by instance index
+    completions, work, temps = [], [], []
     for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            k = order[j - 1]
-            work[i - 1][k] = x[_col_w(n, i, j)] if i < j else instance.jobs[k].p
-            temps[i - 1][k] = x[_col_t(n, min(i, j), j)]
-    return NormalSchedule(
-        order=order,
-        completions=completions,
-        work=tuple(tuple(row) for row in work),
-        temperatures=tuple(tuple(row) for row in temps),
-    )
+        t += x[_col_d(i)]
+        completions.append(t)
+        temp = [Fraction(0)] * n
+        for j, k in enumerate(order, 1):
+            if i <= j:
+                done[k] += instance.jobs[k].p if i == j == 1 else x[_col_w(n, i, j)]
+            temp[k] = x[_col_t(n, min(i, j), j)]
+        work.append(tuple(done))
+        temps.append(temp)
+    return NormalSchedule(tuple(order), tuple(completions), tuple(work), tuple(temps))
 
 
 def lp_text(problem: LpProblem) -> str:

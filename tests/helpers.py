@@ -174,7 +174,8 @@ def lemma_assignment(
 ) -> tuple[Fraction, ...]:
     """Map a normal schedule plus its simulated breakpoint temperatures onto
     the order-LP's variables (positions re-indexed along schedule.order),
-    as a point with one value per name in `variables`.
+    as a point with one value per name in `variables`: interval lengths
+    D_i, per-interval work w_i_j and temperatures T_i_j.
 
     The simulated temperatures are the pointwise-minimal witness satisfying
     the temperature recursion, so the LP constraint set accepts the result
@@ -186,10 +187,11 @@ def lemma_assignment(
     values: dict[str, Fraction] = {}
     for i in range(n):
         c_i = schedule.completions[i]
-        values[f"C_{i + 1}"] = c_i
+        values[f"D_{i + 1}"] = c_i - (schedule.completions[i - 1] if i else F(0))
         k = time_index[c_i]
         for j in range(n):
             job_index = schedule.order[j]
-            values[f"W_{i + 1}_{j + 1}"] = schedule.work[i][job_index]
+            before = schedule.work[i - 1][job_index] if i else F(0)
+            values[f"w_{i + 1}_{j + 1}"] = schedule.work[i][job_index] - before
             values[f"T_{i + 1}_{j + 1}"] = traj.temperatures[job_index][k]
     return tuple(values[v] for v in variables)

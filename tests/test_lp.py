@@ -30,13 +30,13 @@ F = Fraction
 class TestBuildOrderLp:
     def test_golden_two_job_lp(self, twin_instance):
         prob = build_order_lp(twin_instance, (0, 1), "sum")
-        assert len(prob.constraints) == constraint_count(2, 1) == 10
-        assert prob.variables == ("C_1", "C_2", "W_1_2", "T_1_1", "T_1_2", "T_2_2")
+        assert len(prob.constraints) == constraint_count(2, 1) == 9
+        assert prob.variables == ("D_1", "D_2", "w_1_2", "w_2_2", "T_1_1", "T_1_2", "T_2_2")
         by_name = {c.name: c for c in prob.constraints}
         start = by_name["temp_step_1_1"]
         coeffs = {prob.variables[i]: c for i, c in start.coeffs}
-        # W_1_1 = p_1 = 2 is pinned: its 4/3 * 2 moves to the right-hand side
-        assert coeffs == {"C_1": F(-1, 3), "T_1_1": F(-1)}
+        # w_1_1 = p_1 = 2 is a constant: its 4/3 * 2 moves to the right-hand side
+        assert coeffs == {"D_1": F(-1, 3), "T_1_1": F(-1)}
         assert start.rhs == F(-8, 3)
         assert by_name["temp_cap_2_2"].rhs == 1
 
@@ -54,16 +54,16 @@ class TestBuildOrderLp:
                 for objective in ("sum", "makespan"):
                     prob = build_order_lp(inst, tuple(range(n)), objective)
                     assert len(prob.constraints) == constraint_count(n, m)
-                    assert len(prob.variables) == n + n * n
+                    assert len(prob.variables) == n * n + 2 * n - 1
 
     def test_column_functions_lay_out_the_named_columns(self):
         # extract_schedule reads columns through these, lp_text through names
         for n in range(1, 7):
             inst = Instance(tuple(Job(f"j{k}", 1, F(-1), 1) for k in range(n)))
             names = build_order_lp(inst, tuple(range(n)), "sum").variables
-            at = {lp._col_c(i): f"C_{i}" for i in range(1, n + 1)}
+            at = {lp._col_d(i): f"D_{i}" for i in range(1, n + 1)}
             for i in range(1, n + 1):
-                at.update({lp._col_w(n, i, j): f"W_{i}_{j}" for j in range(i + 1, n + 1)})
+                at.update({lp._col_w(n, i, j): f"w_{i}_{j}" for j in range(max(i, 2), n + 1)})
                 at.update({lp._col_t(n, i, j): f"T_{i}_{j}" for j in range(i, n + 1)})
             assert [at[col] for col in range(len(names))] == list(names)
 
@@ -88,6 +88,35 @@ class TestBuildOrderLp:
                     used = {i for con in prob.constraints for i, c in con.coeffs if c != 0}
                     assert used == set(range(len(prob.variables)))
 
+    def test_increments_leave_few_rows_needing_an_artificial(self):
+        # only done_j (equalities) and the rows holding the constant w_1_1
+        # (manage_1, temp_step_1_1 and, when m > 1, rate_1_1) start outside
+        # the all-slack basis
+        rng = random.Random(11)
+        for n in range(1, 7):
+            for m in (1, 2):
+                inst = random_instance(rng, n, m, common_rates=False)
+                prob = build_order_lp(inst, tuple(rng.sample(range(n), n)), "sum")
+                needy = [c.name for c in prob.constraints if c.relation == "==" or c.rhs < 0]
+                assert len(needy) == n + (2 if m > 1 and n > 1 else 1), needy
+                assert not any(
+                    c.name.startswith(("order_", "work_monotone_")) for c in prob.constraints
+                )
+                assert not any(v.startswith(("C_", "W_")) for v in prob.variables)
+
+    def test_objective_weights_give_completions(self):
+        # the sum objective weighs D_i by the n - i + 1 completions it delays
+        rng = random.Random(12)
+        for n in range(1, 6):
+            for m in (1, 2):
+                inst = random_instance(rng, n, m, common_rates=rng.random() < 0.5)
+                order = tuple(rng.sample(range(n), n))
+                for objective in ("sum", "makespan"):
+                    sol = solve_lp(build_order_lp(inst, order, objective))
+                    completions = extract_schedule(inst, order, sol).completions
+                    expected = sum(completions) if objective == "sum" else completions[-1]
+                    assert sol.value == expected
+
     def test_empty_instance_rejected(self):
         with pytest.raises(InputError):
             build_order_lp(Instance(()), (), "sum")
@@ -101,7 +130,7 @@ class TestBuildOrderLp:
         nonzero = {
             prob.variables[i]: c for i, c in enumerate(prob.objective) if c != 0
         }
-        assert nonzero == {"C_2": F(1)}
+        assert nonzero == {"D_1": F(1), "D_2": F(1)}
 
 
 class TestLpProblem:
@@ -117,6 +146,31 @@ class TestLpProblem:
         with pytest.raises(InputError):
             LpProblem(("x",), (F(1),), (Constraint("c", ((-1, F(1)),), "<=", F(1)),))
 
+    def test_inexact_numbers_rejected(self):
+        # solve_lp would fail on a float's missing denominator, and read True as 1
+        with pytest.raises(InputError):
+            LpProblem(("x",), (F(1),), (Constraint("c", ((0, 0.5),), "<=", F(-2)),))
+        with pytest.raises(InputError):
+            LpProblem(("x",), (F(1),), (Constraint("c", ((0, F(1)),), "<=", 2.0),))
+        with pytest.raises(InputError):
+            LpProblem(("x",), (F(1),), (Constraint("c", ((0, True),), "<=", F(2)),))
+
+    def test_inexact_objective_rejected(self):
+        for entry in (1.5, "1", False):
+            with pytest.raises(InputError):
+                LpProblem(("x",), (entry,), ())
+
+    def test_ints_accepted(self):
+        prob = LpProblem(("x",), (1,), (Constraint("c", ((0, -1),), "<=", -2),))
+        assert solve_lp(prob).value == 2
+
+    def test_point_of_the_wrong_length_rejected(self):
+        prob = LpProblem(("x", "y"), (F(1), F(1)), (Constraint("c", ((1, F(1)),), "<=", F(1)),))
+        with pytest.raises(InputError):
+            prob.violated_constraints((F(0),))
+        with pytest.raises(InputError):
+            prob.objective_value((F(0), F(0), F(0)))
+
 
 class TestSolveGoldenLp:
     def test_optimal_value_ten(self, twin_instance):
@@ -125,8 +179,7 @@ class TestSolveGoldenLp:
         assert sol.status == "optimal"
         assert sol.value == 10
         x = dict(zip(prob.variables, sol.x))
-        assert x["C_1"] == 5
-        assert x["C_2"] == 5
+        assert (x["D_1"], x["D_2"]) == (5, 0)
 
     def test_extracted_schedule_loads(self, twin_instance):
         sol = solve_lp(build_order_lp(twin_instance, (0, 1), "sum"))
@@ -139,14 +192,23 @@ class TestSolveGoldenLp:
         sol = solve_lp(prob)
         assert prob.violated_constraints(sol.x) == []
         broken = list(sol.x)
-        broken[prob.variables.index("W_1_2")] = F(99)
-        assert "work_monotone_2_2" in prob.violated_constraints(broken)
+        broken[prob.variables.index("w_1_2")] = F(99)
+        assert "done_2" in prob.violated_constraints(broken)
 
     def test_extract_requires_optimal(self, twin_instance):
         with pytest.raises(NoScheduleError):
             extract_schedule(
                 twin_instance, (0, 1), LpSolution("infeasible", None, ())
             )
+
+    def test_extract_rejects_a_foreign_order_or_point(self, twin_instance):
+        sol = solve_lp(build_order_lp(twin_instance, (0, 1), "sum"))
+        for order in ((0,), (0, 0), (1, 2)):
+            with pytest.raises(InputError):
+                extract_schedule(twin_instance, order, sol)
+        short = LpSolution("optimal", sol.value, sol.x[:-1])
+        with pytest.raises(InputError):
+            extract_schedule(twin_instance, (0, 1), short)
 
 
 class TestLpProperties:
@@ -243,8 +305,8 @@ class TestLpText:
         prob = build_order_lp(twin_instance, (0, 1), "sum")
         text = lp_text(prob)
         assert text.startswith("Minimize")
-        assert "obj: C_1 + C_2" in text
-        assert "work_monotone_2_2: W_1_2 <= 2" in text
-        assert "temp_step_1_1: -1/3 C_1 - T_1_1 <= -8/3" in text
-        assert "temp_step_1_2: -1/3 C_1 + 4/3 W_1_2 - T_1_2 <= 0" in text
+        assert "obj: 2 D_1 + D_2" in text
+        assert "done_2: w_1_2 + w_2_2 = 2" in text
+        assert "temp_step_1_1: -1/3 D_1 - T_1_1 <= -8/3" in text
+        assert "temp_step_1_2: -1/3 D_1 + 4/3 w_1_2 - T_1_2 <= 0" in text
         assert text.rstrip().endswith("End")
