@@ -14,7 +14,6 @@ from .core import (
     InputError,
     Instance,
     Job,
-    ManageabilityError,
     NaturalSchedule,
     NormalSchedule,
     SchedulingError,
@@ -82,7 +81,6 @@ __all__ = [
     "Job",
     "LpProblem",
     "LpSolution",
-    "ManageabilityError",
     "NaturalSchedule",
     "NoScheduleError",
     "NormalSchedule",

@@ -6,8 +6,10 @@ Two schedule forms exist side by side:
 * `NormalSchedule` -- fractional loads, constant between consecutive
   completion times, parameterized by the completion vector and the
   cumulative-work matrix at those times.
-* `NaturalSchedule` -- on/off processing given by half-open intervals,
-  at most `m` jobs active at once.
+* `NaturalSchedule` -- on/off processing given by half-open intervals.
+
+Neither type knows the machine count; `check_feasibility` judges whether a
+schedule loads more than `m` jobs at once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+
+# Largest decimal exponent `as_rational` accepts: CPython's default digit
+# limit for int strings, so a decimal implies no more digits than an integer.
+MAX_DECIMAL_EXPONENT = 4300
 
 
 class SchedulingError(Exception):
@@ -30,14 +36,6 @@ class InputError(SchedulingError):
 
 class InconsistentScheduleError(InputError):
     """A normal schedule claims work inside a zero-length interval."""
-
-
-class ManageabilityError(InputError):
-    """More jobs loaded simultaneously than machines available."""
-
-    def __init__(self, message: str, time: Fraction):
-        super().__init__(message)
-        self.time = time
 
 
 def as_rational(value: RationalLike, what: str = "value") -> Fraction:
@@ -53,8 +51,12 @@ def as_rational(value: RationalLike, what: str = "value") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return Fraction(value.strip())
+            _, e, exponent = text.lower().partition("e")
+            if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+                raise InputError(f"{what}: exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT}")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{what}: cannot parse {value!r} as a rational") from exc
     if isinstance(value, float):
@@ -265,7 +267,10 @@ Interval = tuple[Fraction, Fraction]
 @dataclass(frozen=True)
 class NaturalSchedule:
     """On/off schedule: per job id, sorted disjoint half-open [start, end)
-    intervals during which the job is fully loaded."""
+    intervals during which the job is fully loaded.
+
+    Only the intervals' own shape is checked here; how many jobs run at once
+    is a verdict of `check_feasibility`, against the instance's machines."""
 
     intervals: dict[str, tuple[Interval, ...]]
 
@@ -289,9 +294,6 @@ class NaturalSchedule:
     def for_job(self, job_id: str) -> tuple[Interval, ...]:
         return self.intervals.get(job_id, ())
 
-    def is_empty(self) -> bool:
-        return all(not spans for spans in self.intervals.values())
-
 
 def _merge_intervals(spans: Iterable[tuple[RationalLike, RationalLike]]) -> tuple[Interval, ...]:
     """Sort and union intervals; touching half-open intervals fuse."""
@@ -311,40 +313,10 @@ def _merge_intervals(spans: Iterable[tuple[RationalLike, RationalLike]]) -> tupl
 
 def natural_from_intervals(
     raw: Mapping[str, Iterable[tuple[RationalLike, RationalLike]]],
-    machines: int | None = 1,
 ) -> NaturalSchedule:
-    """Build a natural schedule from raw per-job interval lists.
-
-    Intervals are sorted and merged per job. When `machines` is given, the
-    schedule is checked to load at most that many jobs at any instant;
-    pass None to skip the check (e.g. when the verdict should come from a
-    feasibility report instead of an exception).
-    """
-    merged = {job_id: _merge_intervals(spans) for job_id, spans in raw.items()}
-    schedule = NaturalSchedule(merged)
-    if machines is not None:
-        check_manageable(schedule, machines)
-    return schedule
-
-
-def check_manageable(schedule: NaturalSchedule, machines: int) -> None:
-    """Raise ManageabilityError at the first instant more than `machines`
-    jobs are loaded. A sweep over the interval endpoints suffices because
-    the active count is constant between them; ends sort before starts at
-    equal times since intervals are half-open."""
-    events: list[tuple[Fraction, int]] = []
-    for spans in schedule.intervals.values():
-        for a, b in spans:
-            events.append((a, 1))
-            events.append((b, -1))
-    events.sort(key=lambda e: (e[0], e[1]))
-    active = 0
-    for t, step in events:
-        active += step
-        if active > machines:
-            raise ManageabilityError(
-                f"{active} jobs loaded at t={t}, but only {machines} machine(s)", time=t
-            )
+    """Build a natural schedule from raw per-job interval lists, sorting and
+    merging each job's intervals."""
+    return NaturalSchedule({job_id: _merge_intervals(spans) for job_id, spans in raw.items()})
 
 
 @dataclass(frozen=True)

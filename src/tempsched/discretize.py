@@ -94,7 +94,7 @@ def time_slice(instance: Instance, schedule: NormalSchedule, k: int) -> NaturalS
                 if s > 0:
                     raw[job.id].append((t, t + s * h))
                     t += s * h
-    return natural_from_intervals(raw, machines=None)
+    return natural_from_intervals(raw)
 
 
 def discretize_auto(

@@ -6,13 +6,15 @@ job stops cooling at 0): starting from T at a, it is max(0, T + r*(t - a))
 at t. The simulator walks the segments once and evaluates this closed form
 at b and at every clamp instant a + T/(-r) inside (a, b), so the trajectory
 is exactly piecewise linear between breakpoints and all feasibility
-questions reduce to checks at the breakpoints. A natural schedule's
-segments are the union of its span endpoints; each job's 0/1 loads come
-from one sweep over its sorted spans.
+questions reduce to checks at the breakpoints. Both schedule kinds reduce
+to one list of (start, end, loads) segments: a normal schedule's come from
+`loads_from_normal`, a natural schedule's 0/1 loads from one sweep over its
+sorted span endpoints with one index per job.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -20,6 +22,7 @@ from typing import Union
 from .core import (
     Instance,
     InputError,
+    LoadSegment,
     NaturalSchedule,
     NormalSchedule,
     Trajectory,
@@ -33,6 +36,8 @@ Schedule = Union[NormalSchedule, NaturalSchedule]
 OVERHEAT = "overheat"
 MANAGEABILITY = "manageability"
 PER_JOB_RATE = "per-job-rate"
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -61,43 +66,30 @@ class FeasibilityReport:
         return not self.violations
 
 
-def _segment_grid(
-    instance: Instance, schedule: Schedule
-) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Reduce either schedule kind to shared boundaries plus per-job constant
-    loads. Boundaries start at 0; an all-idle schedule yields no segments."""
-    n = instance.n
+def _segments(instance: Instance, schedule: Schedule) -> list[LoadSegment]:
+    """Reduce either schedule kind to (start, end, loads) triples covering
+    [0, end of the last span or completion); an all-idle schedule yields none."""
     if isinstance(schedule, NormalSchedule):
         validate_normal_schedule(instance, schedule)
-        segments = loads_from_normal(schedule)
-        boundaries = [Fraction(0)] + [end for _, end, _ in segments]
-        loads = [[seg[2][j] for seg in segments] for j in range(n)]
-        return boundaries if segments else [], loads
+        return loads_from_normal(schedule)
     if isinstance(schedule, NaturalSchedule):
-        known = set(instance.job_ids)
-        unknown = sorted(set(schedule.intervals) - known)
+        unknown = sorted(set(schedule.intervals) - set(instance.job_ids))
         if unknown:
             raise InputError(f"schedule names unknown job(s): {', '.join(unknown)}")
-        if schedule.is_empty():
-            return [], [[] for _ in range(n)]
-        boundaries = sorted(
-            {Fraction(0)}
-            | {t for spans in schedule.intervals.values() for span in spans for t in span}
-        )
-        loads = []
-        for job in instance.jobs:
-            # Every span endpoint is a boundary, and the spans are sorted and
-            # disjoint, so one index walks them alongside the boundaries.
-            spans = schedule.for_job(job.id)
-            row = []
-            idx = 0
-            for a in boundaries[:-1]:
-                while idx < len(spans) and spans[idx][1] <= a:
-                    idx += 1
-                on = idx < len(spans) and spans[idx][0] <= a
-                row.append(Fraction(1) if on else Fraction(0))
-            loads.append(row)
-        return boundaries, loads
+        spans = [schedule.for_job(job.id) for job in instance.jobs]
+        boundaries = sorted({_ZERO} | {t for sp in spans for span in sp for t in span})
+        # Every span endpoint is a boundary, and each job's spans are sorted and
+        # disjoint, so one index per job walks its spans alongside the boundaries.
+        idx = [0] * len(spans)
+        segments: list[LoadSegment] = []
+        for a, b in itertools.pairwise(boundaries):
+            loads = []
+            for j, sp in enumerate(spans):
+                while idx[j] < len(sp) and sp[idx[j]][1] <= a:
+                    idx[j] += 1
+                loads.append(_ONE if idx[j] < len(sp) and sp[idx[j]][0] <= a else _ZERO)
+            segments.append((a, b, tuple(loads)))
+        return segments
     raise InputError(f"unsupported schedule type: {type(schedule).__name__}")
 
 
@@ -108,12 +100,12 @@ def simulate(instance: Instance, schedule: Schedule) -> Trajectory:
     overload) is judged separately by `check_feasibility`.
     """
     instance = normalize(instance)
-    boundaries, seg_loads = _segment_grid(instance, schedule)
+    segments = _segments(instance, schedule)
     n = instance.n
-    zero = Fraction(0)
-    breakpoints = boundaries[:1]
-    temperatures: list[list[Fraction]] = [[zero] if boundaries else [] for _ in range(n)]
-    works: list[list[Fraction]] = [[zero] if boundaries else [] for _ in range(n)]
+    first = [_ZERO] if segments else []
+    breakpoints = list(first)
+    temperatures: list[list[Fraction]] = [list(first) for _ in range(n)]
+    works: list[list[Fraction]] = [list(first) for _ in range(n)]
     loads: list[list[Fraction]] = [[] for _ in range(n)]
 
     # One pass over the segments. On [a, b) job j starts at temperature T and
@@ -121,9 +113,7 @@ def simulate(instance: Instance, schedule: Schedule) -> Trajectory:
     # max(0, T + r*(t - a)) with r = alpha*(1 - s) + beta*s, and its work is
     # W + s*(t - a). Breakpoints are b plus the instants a + T/(-r) at which
     # a cooling job reaches 0 inside (a, b).
-    for k in range(len(boundaries) - 1):
-        a, b = boundaries[k], boundaries[k + 1]
-        s = [seg_loads[j][k] for j in range(n)]
+    for a, b, s in segments:
         r = [job.alpha * (1 - sj) + job.beta * sj for job, sj in zip(instance.jobs, s)]
         temp = [row[-1] for row in temperatures]
         work = [row[-1] for row in works]
@@ -132,7 +122,7 @@ def simulate(instance: Instance, schedule: Schedule) -> Trajectory:
             breakpoints.append(t)
             dt = t - a
             for j in range(n):
-                temperatures[j].append(max(zero, temp[j] + r[j] * dt))
+                temperatures[j].append(max(_ZERO, temp[j] + r[j] * dt))
                 works[j].append(work[j] + s[j] * dt)
                 loads[j].append(s[j])
 

@@ -47,7 +47,8 @@ def _load_json(path: Union[str, Path]) -> Any:
         with open(path, "r", encoding="utf-8") as fh:
             # parse_float=str keeps decimal literals exact ("0.1" -> 1/10)
             return json.load(fh, parse_float=str)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or UTF-8, or an int past the digit limit
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
@@ -139,7 +140,7 @@ def parse_schedule(data: Any, instance: Instance) -> Schedule:
                  as_rational(b, f"job {job_id} interval end"))
                 for a, b in spans
             ]
-        return natural_from_intervals(raw, machines=None)
+        return natural_from_intervals(raw)
     if kind == "normal":
         order_ids = data.get("order")
         if (not isinstance(order_ids, list) or not all(isinstance(v, str) for v in order_ids)

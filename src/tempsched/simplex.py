@@ -10,6 +10,12 @@ Bland's rule picks the entering column until the objective strictly
 improves, so the method terminates on every input. At alternative optima
 the returned vertex depends on the pricing.
 
+Phase 1 minimizes the sum of the artificials; one that leaves the basis
+never re-enters. Phase 2 starts from phase 1's basis with every column of
+positive phase-1 reduced cost banned too (Chvátal 1983, ch. 8): those are 0
+on every feasible point, and while they stay 0 so does every artificial
+still basic, so phase 2 needs no row dropped and no pivot out.
+
 Pivoting is fraction-free (after Edmonds 1967 and Bareiss 1968): each
 tableau row is a sparse map from column to nonzero Python `int`, holding
 the rational row times a positive factor. That factor is the row's
@@ -207,14 +213,13 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             rel = ">=" if rel == "<=" else "=="
         specs.append((coeffs, rel, rhs))
     nslack = sum(1 for _, rel, _ in specs if rel in ("<=", ">="))
-    art_base = nstruct + nslack
     narts = sum(1 for _, rel, _ in specs if rel != "<=")
     rhs_col = nstruct + nslack + narts
 
     rows = []
     basis = []
     slack_idx = nstruct
-    art_idx = art_base
+    art_idx = nstruct + nslack
     art_cols = []
     for coeffs, rel, rhs in specs:
         row = {**coeffs, rhs_col: rhs}
@@ -230,7 +235,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             art_idx += 1
         rows.append(_scaled_ints(row))
 
-    banned: set[int] = set()
+    # An artificial that leaves the basis never re-enters.
+    banned = set(art_cols)
     phase1, phase2 = [0, 0], [0, 0]
     status = "optimal"
     if art_cols:
@@ -239,19 +245,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         if status != "optimal" or cost.get(rhs_col, 0) < 0:
             status = "infeasible"
         else:
-            banned = set(art_cols)
-            # Drive artificials still basic (at zero) out, or drop their rows.
-            keep = []
-            for i in range(len(rows)):
-                if basis[i] in banned:
-                    pivot_col = min((j for j in rows[i] if j < art_base), default=None)
-                    if pivot_col is None:
-                        continue  # redundant row
-                    _pivot(rows, basis, i, pivot_col)
-                keep.append(i)
-            if len(keep) != len(rows):
-                rows = [rows[i] for i in keep]
-                basis = [basis[i] for i in keep]
+            # Keeps every artificial still basic at zero (see the module notes).
+            banned.update(j for j, v in cost.items() if v > 0 and j != rhs_col)
 
     if status == "optimal":
         cost = _reduced_costs(dict(enumerate(problem.objective)), rows, basis)

@@ -37,5 +37,5 @@ def naive_natural():
     """Alternating full-load schedule: j1 on [0,1) and [4,5), j2 filling the
     gaps, completing at 6."""
     return natural_from_intervals(
-        {"j1": [(0, 1), (4, 5)], "j2": [(1, 2), (5, 6)]}, 1
+        {"j1": [(0, 1), (4, 5)], "j2": [(1, 2), (5, 6)]}
     )

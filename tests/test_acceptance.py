@@ -59,12 +59,12 @@ def test_criterion_1_golden_sum():
 def test_criterion_2_golden_simulation():
     inst = _twin()
     both = natural_from_intervals(
-        {"j1": [(0, 1), (4, 5)], "j2": [(1, 2), (5, 6)]}, 1
+        {"j1": [(0, 1), (4, 5)], "j2": [(1, 2), (5, 6)]}
     )
     report = check_feasibility(inst, both)
     solo = Instance((inst.jobs[0],), 1)
     solo_report = check_feasibility(
-        solo, natural_from_intervals({"j1": [(0, 1), (4, 5)]}, 1)
+        solo, natural_from_intervals({"j1": [(0, 1), (4, 5)]})
     )
     ok = (
         report.feasible

@@ -51,6 +51,14 @@ def _write(tmp_path, name, data):
     return str(path)
 
 
+# Files that json cannot decode for reasons other than a syntax error.
+UNDECODABLE = pytest.mark.parametrize("content", [
+    b"[" * 100000,
+    b'{"machines": ' + b"7" * 5000 + b', "jobs": []}',
+    b'{"jobs": [], "note": "\xff"}',
+], ids=["deep-nesting", "5000-digit-integer", "not-utf8"])
+
+
 class TestSolveSum:
     def test_golden(self, twin_file, capsys):
         assert main(["solve-sum", twin_file]) == 0
@@ -114,6 +122,18 @@ class TestSolveSum:
         path = tmp_path / "bad.json"
         path.write_text("{oops")
         assert main(["solve-sum", str(path)]) == 2
+
+    @UNDECODABLE
+    def test_undecodable_json_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["solve-sum", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_huge_decimal_exponent_exit_2(self, tmp_path, capsys):
+        path = _write(tmp_path, "huge.json", {**TWIN, "jobs": [{"id": "j1", "p": "1e10000000"}]})
+        assert main(["solve-sum", path]) == 2
+        assert "exponent" in capsys.readouterr().err
 
 
 class TestSolveMakespan:
@@ -199,6 +219,13 @@ class TestVerifyAndSimulate:
         assert len(calls) == 1
         assert csv_path.exists() and svg_path.exists()
 
+    @UNDECODABLE
+    def test_undecodable_schedule_exit_2(self, twin_file, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["verify", twin_file, str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_malformed_schedule_exit_2(self, twin_file, tmp_path):
         sched = _write(tmp_path, "bad.json", {"kind": "normal", "order": ["j1"]})
         assert main(["verify", twin_file, sched]) == 2
@@ -227,7 +254,7 @@ class TestDiscretize:
         assert "k: 64" in stdout
         assert "feasible: yes" in stdout
         natural = load_schedule(out, parse_instance(TWIN))
-        assert not natural.is_empty()
+        assert any(natural.intervals.values())
         assert main(["verify", twin_file, str(out)]) == 0
 
     def test_auto_simulates_each_trial_once(self, twin_file, tmp_path, monkeypatch, capsys):

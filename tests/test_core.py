@@ -8,9 +8,9 @@ from tempsched import (
     InputError,
     Instance,
     Job,
-    ManageabilityError,
     NormalSchedule,
     as_rational,
+    check_feasibility,
     loads_from_normal,
     natural_from_intervals,
     normalize,
@@ -26,6 +26,13 @@ class TestRationals:
         assert as_rational("0.25") == F(1, 4)
         assert as_rational("-1/3") == F(-1, 3)
         assert as_rational(F(7, 2)) == F(7, 2)
+
+    def test_huge_decimal_exponents_rejected(self):
+        for text in ("1e10000000", "1e-10000000", "1E+4301"):
+            with pytest.raises(InputError, match="exponent"):
+                as_rational(text)
+        assert as_rational("1e4300") == 10**4300
+        assert as_rational(" 2.5E-4300 ") == F(25, 10**4301)
 
     def test_rejects_floats_and_garbage(self):
         with pytest.raises(InputError):
@@ -233,31 +240,33 @@ class TestNormalScheduleInvariants:
 class TestNaturalFromIntervals:
     def test_valid_alternating_schedule(self):
         sched = natural_from_intervals(
-            {"j1": [(0, 1), (4, 5)], "j2": [(1, 2), (5, 6)]}, 1
+            {"j1": [(0, 1), (4, 5)], "j2": [(1, 2), (5, 6)]}
         )
         assert sched.for_job("j1") == ((F(0), F(1)), (F(4), F(5)))
 
     def test_conflict_on_one_machine(self):
-        with pytest.raises(ManageabilityError) as err:
-            natural_from_intervals({"j1": [(0, 1)], "j2": [(0, 1)]}, 1)
-        assert err.value.time == 0
+        # Building never judges the machine count; the report flags the overlap.
+        sched = natural_from_intervals({"j1": [(0, 1)], "j2": [(0, 1)]})
+        assert sched.for_job("j2") == ((F(0), F(1)),)
+        inst = Instance((Job("j1", 1, -1, 1), Job("j2", 1, -1, 1)), machines=1)
+        violations = check_feasibility(inst, sched).violations
+        assert [(v.job_id, v.time, v.kind) for v in violations] == [
+            (None, F(0), "manageability")
+        ]
 
     def test_touching_intervals_merge(self):
-        sched = natural_from_intervals({"j1": [(0, 1), (1, 2)]}, 1)
+        sched = natural_from_intervals({"j1": [(0, 1), (1, 2)]})
         assert sched.for_job("j1") == ((F(0), F(2)),)
 
     def test_overlapping_intervals_merge(self):
-        sched = natural_from_intervals({"j1": [(0, 2), (1, 3)]}, 1)
+        sched = natural_from_intervals({"j1": [(0, 2), (1, 3)]})
         assert sched.for_job("j1") == ((F(0), F(3)),)
 
     def test_two_machines_allow_overlap(self):
-        sched = natural_from_intervals({"j1": [(0, 1)], "j2": [(0, 1)]}, 2)
-        assert sched.for_job("j2") == ((F(0), F(1)),)
-
-    def test_skip_check_with_none(self):
-        sched = natural_from_intervals({"j1": [(0, 1)], "j2": [(0, 1)]}, None)
-        assert not sched.is_empty()
+        sched = natural_from_intervals({"j1": [(0, 1)], "j2": [(0, 1)]})
+        inst = Instance((Job("j1", 1, -1, 1), Job("j2", 1, -1, 1)), machines=2)
+        assert check_feasibility(inst, sched).feasible
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(InputError):
-            natural_from_intervals({"j1": [(2, 1)]}, 1)
+            natural_from_intervals({"j1": [(2, 1)]})

@@ -19,7 +19,7 @@ F = Fraction
 
 class TestSimulateGoldens:
     def test_single_job_two_bursts(self, solo_instance):
-        sched = natural_from_intervals({"j1": [(0, 1), (4, 5)]}, 1)
+        sched = natural_from_intervals({"j1": [(0, 1), (4, 5)]})
         traj = simulate(solo_instance, sched)
         assert traj.breakpoints == (F(0), F(1), F(4), F(5))
         assert traj.temperatures[0] == (F(0), F(1), F(0), F(1))
@@ -44,9 +44,16 @@ class TestSimulateGoldens:
         assert report.feasible
         assert report.objective_sum == 10
 
+    def test_late_start_gets_an_idle_first_segment(self, solo_instance):
+        traj = simulate(solo_instance, natural_from_intervals({"j1": [(2, 3)]}))
+        assert traj.breakpoints == (F(0), F(2), F(3))
+        assert traj.loads == ((F(0), F(1)),)
+        assert traj.temperatures[0] == (F(0), F(0), F(1))
+        assert traj.works[0] == (F(0), F(0), F(1))
+
     def test_clamp_inserts_exact_breakpoint(self, solo_instance):
         # cooling from T=1 at rate -1/3 hits zero at t=4, inside [1, 10)
-        sched = natural_from_intervals({"j1": [(0, 1), (10, 11)]}, 1)
+        sched = natural_from_intervals({"j1": [(0, 1), (10, 11)]})
         traj = simulate(solo_instance, sched)
         assert traj.breakpoints == (F(0), F(1), F(4), F(10), F(11))
         assert traj.temperatures[0] == (F(0), F(1), F(0), F(0), F(1))
@@ -56,7 +63,7 @@ class TestClampsInOneSegment:
     def test_two_jobs_clamp_at_distinct_instants_while_idle(self):
         # both at T=1 at t=1; idle on [1, 10), a cools at -1 and b at -1/2
         inst = Instance((Job("a", 2, -1, 1), Job("b", 1, F(-1, 2), 1)), machines=2)
-        sched = natural_from_intervals({"a": [(0, 1), (10, 11)], "b": [(0, 1)]}, 2)
+        sched = natural_from_intervals({"a": [(0, 1), (10, 11)], "b": [(0, 1)]})
         traj = simulate(inst, sched)
         assert traj.breakpoints == (F(0), F(1), F(2), F(3), F(10), F(11))
         assert traj.temperatures == (
@@ -72,7 +79,7 @@ class TestClampsInOneSegment:
     def test_one_job_clamps_while_the_other_runs(self):
         # a cools from 1 at -1 and reaches 0 at t=2, inside b's run on [1, 3)
         inst = Instance((Job("a", 1, -1, 1), Job("b", 2, -1, F(1, 4))))
-        sched = natural_from_intervals({"a": [(0, 1)], "b": [(1, 3)]}, 1)
+        sched = natural_from_intervals({"a": [(0, 1)], "b": [(1, 3)]})
         traj = simulate(inst, sched)
         assert traj.breakpoints == (F(0), F(1), F(2), F(3))
         assert traj.temperatures == (
@@ -85,7 +92,7 @@ class TestClampsInOneSegment:
     def test_two_jobs_clamping_together_share_one_breakpoint(self):
         # a at T=1 cooling at -1 and b at T=1/2 cooling at -1/2 both reach 0 at t=2
         inst = Instance((Job("a", 2, -1, 1), Job("b", 1, F(-1, 2), F(1, 2))), machines=2)
-        sched = natural_from_intervals({"a": [(0, 1), (4, 5)], "b": [(0, 1)]}, 2)
+        sched = natural_from_intervals({"a": [(0, 1), (4, 5)], "b": [(0, 1)]})
         traj = simulate(inst, sched)
         assert traj.breakpoints == (F(0), F(1), F(2), F(4), F(5))
         assert traj.temperatures == (
@@ -100,7 +107,7 @@ class TestClampsInOneSegment:
 
 class TestCheckFeasibility:
     def test_continuous_run_overheats(self, solo_instance):
-        sched = natural_from_intervals({"j1": [(0, 2)]}, 1)
+        sched = natural_from_intervals({"j1": [(0, 2)]})
         report = check_feasibility(solo_instance, sched)
         assert not report.feasible
         (violation,) = report.violations
@@ -110,27 +117,31 @@ class TestCheckFeasibility:
         assert report.completions == {"j1": F(2)}
 
     def test_temperature_exactly_one_is_feasible(self, solo_instance):
-        sched = natural_from_intervals({"j1": [(0, 1)]}, 1)
+        sched = natural_from_intervals({"j1": [(0, 1)]})
         assert check_feasibility(solo_instance, sched).feasible
 
     def test_empty_schedule_reports_missing_completion(self, solo_instance):
-        report = check_feasibility(solo_instance, NaturalSchedule({}))
-        assert report.feasible
-        assert report.missing == ("j1",)
-        assert report.completions == {}
-        assert report.objective_sum is None
-        assert report.makespan is None
+        # No spans at all and an empty span list both yield no segments.
+        for sched in (NaturalSchedule({}), NaturalSchedule({"j1": ()})):
+            report = check_feasibility(solo_instance, sched)
+            assert report.feasible
+            assert report.missing == ("j1",)
+            assert report.completions == {}
+            assert report.objective_sum is None
+            assert report.makespan is None
+            assert report.trajectory.breakpoints == ()
+            assert report.trajectory.loads == ((),)
 
     def test_partial_schedule(self, solo_instance):
         report = check_feasibility(
-            solo_instance, natural_from_intervals({"j1": [(0, 1)]}, 1)
+            solo_instance, natural_from_intervals({"j1": [(0, 1)]})
         )
         assert report.feasible
         assert report.missing == ("j1",)
 
     def test_manageability_violation_reported(self, twin_instance):
         sched = natural_from_intervals(
-            {"j1": [(0, 2)], "j2": [(1, 3)]}, machines=None
+            {"j1": [(0, 2)], "j2": [(1, 3)]}
         )
         report = check_feasibility(twin_instance, sched)
         assert any(v.kind == "manageability" and v.time == 1 for v in report.violations)
@@ -168,7 +179,7 @@ class TestTrajectoryInvariants:
                 t = start + length
             if pieces:
                 spans[job.id] = pieces
-        return natural_from_intervals(spans, machines=None)
+        return natural_from_intervals(spans)
 
     def _instances(self, rng, count):
         for _ in range(count):
@@ -218,7 +229,7 @@ class TestTrajectoryInvariants:
         rng = random.Random(5)
         for inst in self._instances(rng, 15):
             sched = self._random_natural(rng, inst)
-            if sched.is_empty():
+            if not any(sched.intervals.values()):
                 continue
             delta = F(rng.randint(1, 7), rng.randint(1, 3))
             shifted = NaturalSchedule(

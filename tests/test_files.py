@@ -92,7 +92,7 @@ class TestInstanceFiles:
 class TestScheduleFiles:
     def test_natural_round_trip(self, tmp_path, twin_instance):
         sched = natural_from_intervals(
-            {"j1": [(0, 1), (4, 5)], "j2": [(F(1), F(355, 113))]}, None
+            {"j1": [(0, 1), (4, 5)], "j2": [(F(1), F(355, 113))]}
         )
         path = tmp_path / "nat.json"
         save_schedule(path, sched, twin_instance)
