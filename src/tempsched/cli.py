@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -42,7 +43,17 @@ EXIT_INPUT = 2
 
 
 def _rat(value: Fraction) -> str:
-    return f"{value} (~{float(value):.6g})"
+    try:
+        exact = str(value)
+    except ValueError as exc:  # over the interpreter's int-to-text digit limit
+        raise InputError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits and cannot be printed"
+        ) from exc
+    try:
+        approx = float(value)
+    except OverflowError:  # beyond the float range, which decimals do not have
+        approx = Decimal(value.numerator) / value.denominator
+    return f"{exact} (~{approx:.6g})"
 
 
 def _print_report(instance: Instance, report: FeasibilityReport) -> None:

@@ -149,8 +149,8 @@ def normalize(instance: Instance) -> Instance:
 
     Idempotent: jobs without a threshold (or with threshold 1) pass through.
     Only functions that read `alpha` or `beta` call this: `build_order_lp`,
-    `simulate`, `min_makespan_single`, and `solve_sum` for its common-rate
-    test. The rest read only `p`, ids and `machines`, which it leaves
+    `simulate`, `discretize_auto`, `min_makespan_single`, and `solve_sum`
+    for its common-rate test. The rest read only `p`, ids and `machines`, which it leaves
     alone, so every public function accepts thresholds either way.
     """
     jobs = []

@@ -6,9 +6,17 @@ loads divided by gamma) pulls every temperature strictly below the
 threshold; slicing each completion interval into k equal pieces and running
 the jobs one after another inside every slice, each for its load's share of
 the slice, then preserves all per-interval work exactly while the
-temperature error shrinks like 1/k. Doubling k until the simulator accepts
-the result therefore terminates, and the completion times land within one
-slice length of the stretched originals.
+temperature error shrinks like 1/k. Doubling k until the sliced schedule
+stays within the threshold therefore terminates, and the completion times
+land within one slice length of the stretched originals.
+
+The doubling search never builds a rejected slicing. Within one interval
+every slice is the same for a job: idle, on, idle. Each piece maps the
+temperature x to max(0, x + rate*duration), so a slice is a map
+x -> max(A, x + B); such maps compose in closed form (max-plus algebra), so
+the peak temperature of a slicing is exact in O(1) per job and interval,
+whatever k is. Only the k the closed form accepts is sliced and passed to
+the simulator, which stays the judge of every returned schedule.
 
 Slicing is defined for single-machine load profiles (per-interval total
 load at most 1); splitting fractional loads across machines is out of
@@ -18,10 +26,13 @@ scope here.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from .core import (
     Instance,
     InputError,
+    Job,
+    LoadSegment,
     NaturalSchedule,
     NormalSchedule,
     RationalLike,
@@ -29,11 +40,21 @@ from .core import (
     as_rational,
     loads_from_normal,
     natural_from_intervals,
+    normalize,
     positive_int,
 )
 from .dynamics import FeasibilityReport, check_feasibility
 
 DEFAULT_K_CEILING = 2**20
+
+# Most spans `time_slice` builds: k times the number of (interval, job)
+# pairs with a positive load. Slicing and checking cost grows linearly in
+# the spans: 2**16 spans took 8.9 s and 73 MB on one core of a 2-CPU x86
+# box, so this limit allows about 2.5 minutes and 1.2 GB. A larger slicing
+# is refused with InputError.
+MAX_SLICE_SPANS = 2**20
+
+_ZERO = Fraction(0)
 
 
 class InfeasibleScheduleError(SchedulingError):
@@ -66,6 +87,19 @@ def gamma_scale(schedule: NormalSchedule, gamma: RationalLike) -> NormalSchedule
     )
 
 
+def _sliceable_segments(schedule: NormalSchedule) -> list[LoadSegment]:
+    """The schedule's load segments, each with total load at most 1."""
+    segments = loads_from_normal(schedule)
+    for start, end, loads in segments:
+        total = sum(loads, _ZERO)
+        if total > 1:
+            raise NotSliceableError(
+                f"interval [{start}, {end}) has total load {total} > 1; "
+                "gamma-scale the schedule (or lower the load) first"
+            )
+    return segments
+
+
 def time_slice(instance: Instance, schedule: NormalSchedule, k: int) -> NaturalSchedule:
     """Slice each completion interval into k equal parts and serialize the
     jobs inside every slice.
@@ -73,19 +107,21 @@ def time_slice(instance: Instance, schedule: NormalSchedule, k: int) -> NaturalS
     Within one slice, jobs run back to back in instance order, each fully
     loaded for load * slice_length, with the idle remainder at the end.
     Per-interval work per job is preserved exactly; each completion lands
-    within one slice length of its fractional counterpart.
+    within one slice length of its fractional counterpart. A slicing of
+    more than MAX_SLICE_SPANS spans raises InputError before any is built.
     """
     positive_int(k, "slice count")
     if schedule.n != instance.n:
         raise InputError(f"schedule covers {schedule.n} jobs, instance has {instance.n}")
+    segments = _sliceable_segments(schedule)
+    spans = k * sum(s > 0 for _, _, loads in segments for s in loads)
+    if spans > MAX_SLICE_SPANS:
+        raise InputError(
+            f"k={k} would slice the schedule into {spans} spans, over the limit "
+            f"of {MAX_SLICE_SPANS}; use a smaller k or a larger gamma"
+        )
     raw: dict[str, list[tuple[Fraction, Fraction]]] = {job.id: [] for job in instance.jobs}
-    for start, end, loads in loads_from_normal(schedule):
-        total = sum(loads, Fraction(0))
-        if total > 1:
-            raise NotSliceableError(
-                f"interval [{start}, {end}) has total load {total} > 1; "
-                "gamma-scale the schedule (or lower the load) first"
-            )
+    for start, end, loads in segments:
         h = (end - start) / k
         for r in range(k):
             t = start + r * h
@@ -97,15 +133,69 @@ def time_slice(instance: Instance, schedule: NormalSchedule, k: int) -> NaturalS
     return natural_from_intervals(raw)
 
 
+def _iterate(a: Fraction, b: Fraction, x: Fraction, r: int) -> Fraction:
+    """F^r(x) for F(x) = max(a, x + b) and r >= 1."""
+    return max(x + r * b, a + max(_ZERO, (r - 1) * b))
+
+
+def _peak(jobs: Sequence[Job], segments: list[LoadSegment], k: int) -> Fraction:
+    """Peak temperature of the k-slicing of `segments`, in closed form.
+
+    `jobs` carry threshold-free rates. In one slice of length h, a job with
+    load s > 0 idles for pre = o*h (o: the summed load of the jobs before
+    it), runs for on = s*h, then idles for post = h - pre - on, so the slice
+    maps its temperature x to F(x) = max(A, x + B) with
+    A = max(0, beta*on + alpha*post) and B = alpha*(h - on) + beta*on.
+    The peak comes at the end of an on-piece, G(y) = max(0, y + alpha*pre)
+    + beta*on for the slice-start temperature y; G is monotone, so it is G
+    of the largest of x, F(x), ..., F^(k-1)(x). A job with zero load only
+    cools.
+    """
+    temps = [_ZERO] * len(jobs)
+    peak = _ZERO
+    for start, end, loads in segments:
+        h = (end - start) / k
+        o = _ZERO
+        for j, (job, s) in enumerate(zip(jobs, loads)):
+            alpha, beta, x = job.alpha, job.beta, temps[j]
+            if s == 0:
+                temps[j] = max(_ZERO, x + alpha * (end - start))
+                continue
+            pre, on = o * h, s * h
+            o += s
+            a = max(_ZERO, beta * on + alpha * (h - pre - on))
+            b = alpha * (h - on) + beta * on
+            if k == 1:
+                top = x
+            elif b >= 0:
+                top = _iterate(a, b, x, k - 1)
+            else:
+                top = max(x, a)
+            peak = max(peak, max(_ZERO, top + alpha * pre) + beta * on)
+            temps[j] = _iterate(a, b, x, k)
+    return peak
+
+
+def _sliced_peak(instance: Instance, scaled: NormalSchedule, k: int) -> Fraction:
+    """Peak temperature of `time_slice(instance, scaled, k)`, relative to
+    each job's threshold, computed without building the slices."""
+    return _peak(normalize(instance).jobs, _sliceable_segments(scaled), k)
+
+
 def discretize_auto(
     instance: Instance,
     schedule: NormalSchedule,
     gamma: RationalLike,
     k_ceiling: int = DEFAULT_K_CEILING,
 ) -> tuple[NaturalSchedule, int, FeasibilityReport]:
-    """Gamma-scale, then double k from 1 until the sliced schedule passes
-    the feasibility check; returns the first feasible natural schedule, the
-    k that produced it, and the report that accepted it.
+    """Gamma-scale, then find the first k among 1, 2, 4, ... whose sliced
+    schedule passes the feasibility check; returns that natural schedule,
+    the k that produced it, and the report that accepted it.
+
+    Each k is first judged by the closed-form peak temperature of its
+    slicing (`_peak`); only a k it admits is sliced and simulated. The
+    search logs one DEBUG event to the "tempsched" logger with gamma, every
+    k tried with its peak, and the accepted k.
 
     Termination is guaranteed for feasible input and gamma > 1 because the
     stretched schedule's peak temperature sits strictly below the threshold
@@ -121,14 +211,31 @@ def discretize_auto(
             "feasible starting point"
         )
     scaled = gamma_scale(schedule, gamma)
+    jobs, segments = normalize(instance).jobs, _sliceable_segments(scaled)
+    trials: list[tuple[int, Fraction]] = []
+    accepted = None
     k = 1
-    while k <= k_ceiling:
-        candidate = time_slice(instance, scaled, k)
-        report = check_feasibility(instance, candidate)
-        if report.feasible:
-            return candidate, k, report
-        k *= 2
-    raise SliceLimitError(
-        f"no feasible slicing found up to k={k_ceiling}; gamma may be too "
-        "close to 1 for this ceiling"
-    )
+    try:
+        while k <= k_ceiling:
+            peak = _peak(jobs, segments, k)
+            trials.append((k, peak))
+            if peak <= 1:
+                candidate = time_slice(instance, scaled, k)
+                report = check_feasibility(instance, candidate)
+                if report.feasible:
+                    accepted = k
+                    return candidate, k, report
+            k *= 2
+        raise SliceLimitError(
+            f"no feasible slicing found up to k={k_ceiling}; gamma may be too "
+            "close to 1 for this ceiling"
+        )
+    finally:
+        # Imported on first use, as in `solve_lp`: runs that never
+        # discretize do not pay for importing `logging`.
+        import logging
+
+        logging.getLogger("tempsched").debug(
+            "discretize_auto gamma %s: trials %s; accepted k %s",
+            gamma, ", ".join(f"k={t} peak={p}" for t, p in trials), accepted,
+        )

@@ -9,7 +9,8 @@ is exactly piecewise linear between breakpoints and all feasibility
 questions reduce to checks at the breakpoints. Both schedule kinds reduce
 to one list of (start, end, loads) segments: a normal schedule's come from
 `loads_from_normal`, a natural schedule's 0/1 loads from one sweep over its
-sorted span endpoints with one index per job.
+sorted span endpoints with one index per job. The rates r are computed once
+per distinct load tuple, of which a natural schedule has only a few.
 """
 
 from __future__ import annotations
@@ -112,18 +113,26 @@ def simulate(instance: Instance, schedule: Schedule) -> Trajectory:
     # work W and runs at load s, so at t its temperature is
     # max(0, T + r*(t - a)) with r = alpha*(1 - s) + beta*s, and its work is
     # W + s*(t - a). Breakpoints are b plus the instants a + T/(-r) at which
-    # a cooling job reaches 0 inside (a, b).
+    # a cooling job reaches 0 inside (a, b): those with T > 0 whose
+    # unclamped temperature at b, T + r*(b - a), is negative.
+    rates: dict[tuple[Fraction, ...], list[Fraction]] = {}
     for a, b, s in segments:
-        r = [job.alpha * (1 - sj) + job.beta * sj for job, sj in zip(instance.jobs, s)]
+        r = rates.get(s)
+        if r is None:
+            r = rates[s] = [job.alpha * (1 - sj) + job.beta * sj
+                            for job, sj in zip(instance.jobs, s)]
         temp = [row[-1] for row in temperatures]
         work = [row[-1] for row in works]
-        clamps = {a + temp[j] / -r[j] for j in range(n) if r[j] < 0 < temp[j]}
-        for t in sorted({c for c in clamps if c < b} | {b}):
+        d = b - a
+        at_b = [temp[j] + r[j] * d for j in range(n)]
+        clamps = {a + temp[j] / -r[j] for j in range(n) if at_b[j] < 0 < temp[j]}
+        for t in sorted(clamps) + [b]:
             breakpoints.append(t)
             dt = t - a
+            at_t = at_b if t == b else [temp[j] + r[j] * dt for j in range(n)]
             for j in range(n):
-                temperatures[j].append(max(_ZERO, temp[j] + r[j] * dt))
-                works[j].append(work[j] + s[j] * dt)
+                temperatures[j].append(max(_ZERO, at_t[j]))
+                works[j].append(work[j] + s[j] * dt if s[j] else work[j])
                 loads[j].append(s[j])
 
     return Trajectory(

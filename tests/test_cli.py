@@ -173,6 +173,18 @@ class TestSolveMakespan:
         assert main(["solve-makespan", path, "--check-lp"]) == 0
         assert "makespan: 5" in capsys.readouterr().out
 
+    def test_result_too_long_to_print_exit_2(self, tmp_path, capsys):
+        path = _write(tmp_path, "big.json",
+                      {"alpha": "-1", "beta": 1, "jobs": [{"id": "j1", "p": "1e4300"}]})
+        assert main(["solve-makespan", path]) == 2
+        assert capsys.readouterr().err.startswith("error: a result has more than")
+
+    def test_result_beyond_float_range_prints(self, tmp_path, capsys):
+        path = _write(tmp_path, "big.json",
+                      {"alpha": "-1", "beta": 1, "jobs": [{"id": "j1", "p": "1e400"}]})
+        assert main(["solve-makespan", path]) == 0
+        assert "(~2.00000e+400)" in capsys.readouterr().out
+
 
 class TestVerifyAndSimulate:
     def test_feasible_exit_0(self, twin_file, tmp_path, capsys):
@@ -274,9 +286,10 @@ class TestDiscretize:
         sched = _write(tmp_path, "opt.json", OPTIMUM_NORMAL)
         assert main(["discretize", twin_file, sched, "--gamma", "101/100", "--auto"]) == 0
         assert "k: 64" in capsys.readouterr().out
-        # k = 1, 2, ..., 64, plus the check of the input schedule
-        assert len(slicings) == 7
-        assert len(simulations) == len(slicings) + 1
+        # the closed form rejects k = 1, ..., 32 without slicing; only the
+        # accepted k = 64 is sliced, and simulated after the input schedule
+        assert len(slicings) == 1
+        assert len(simulations) == 2
 
     def test_gamma_at_most_one_exit_2(self, twin_file, tmp_path):
         sched = _write(tmp_path, "opt.json", OPTIMUM_NORMAL)
@@ -293,6 +306,12 @@ class TestDiscretize:
             "discretize", twin_file, sched, "--gamma", "101/100", "--k", "2",
         ]) == 0
         assert "feasible: no" in capsys.readouterr().out
+
+    def test_k_over_the_span_limit_exit_2(self, twin_file, tmp_path, capsys):
+        sched = _write(tmp_path, "opt.json", OPTIMUM_NORMAL)
+        k = str(discretize.MAX_SLICE_SPANS)  # two loaded jobs: 2k spans
+        assert main(["discretize", twin_file, sched, "--gamma", "101/100", "--k", k]) == 2
+        assert "spans" in capsys.readouterr().err
 
     def test_natural_input_rejected(self, twin_file, tmp_path):
         sched = _write(tmp_path, "nat.json", NAIVE_NATURAL)

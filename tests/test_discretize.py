@@ -1,7 +1,11 @@
+import logging
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tempsched import (
     InfeasibleScheduleError,
@@ -17,6 +21,7 @@ from tempsched import (
     simulate,
     time_slice,
 )
+from tempsched.discretize import MAX_SLICE_SPANS, _sliced_peak
 from tempsched.generate import random_instance
 
 from .helpers import sequential_full_speed, work_at
@@ -172,3 +177,94 @@ class TestDiscretizeAuto:
                 assert err <= prev_err
             prev_err = err
         assert prev_err < F(1, 8)
+
+
+def _small_rational(lo, hi, den=4):
+    """Rationals in [lo, hi] with denominators up to `den`."""
+    return st.builds(F, st.integers(lo * den, hi * den), st.integers(1, den)).filter(
+        lambda x: lo <= x <= hi
+    )
+
+
+@st.composite
+def sliceable_cases(draw):
+    """An instance, a normal schedule with per-interval total load at most 1
+    and a slice count. Rates and thresholds vary per job, and cooling can be
+    much faster than heating, so a job can reach 0 before and after its
+    on-piece in the same slice. A job's p is the work the drawn loads give it."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(n)))
+    lengths = [draw(_small_rational(1, 6)) for _ in range(n)]
+    position = {j: pos for pos, j in enumerate(order)}
+    loads = []
+    for i in range(n):
+        weights = [
+            draw(st.integers(1 if position[j] == i else 0, 4)) if position[j] >= i else 0
+            for j in range(n)
+        ]
+        total = draw(st.sampled_from([F(1, 4), F(1, 2), F(3, 4), F(9, 10), F(1)]))
+        loads.append([total * w / sum(weights) for w in weights])
+    work, completions, done, t = [], [], [F(0)] * n, F(0)
+    for length, row in zip(lengths, loads):
+        t += length
+        done = [d + s * length for d, s in zip(done, row)]
+        completions.append(t)
+        work.append(tuple(done))
+    jobs = tuple(
+        Job(
+            f"j{j}",
+            done[j],
+            -draw(_small_rational(1, 8)),
+            draw(_small_rational(1, 4)),
+            draw(st.sampled_from([None, F(1, 2), F(1), F(3, 2), F(2), F(3)])),
+        )
+        for j in range(n)
+    )
+    instance = Instance(jobs, machines=draw(st.sampled_from([1, 2])))
+    return instance, NormalSchedule(order, completions, work), draw(st.integers(1, 24))
+
+
+# The twin instance stretched by 101/100: k = 32 overheats, k = 64 does not.
+TWIN_STRETCHED = (
+    Instance((Job("j1", 2, F(-1, 3), 1), Job("j2", 2, F(-1, 3), 1))),
+    NormalSchedule((0, 1), (F(101, 20), F(101, 20)), ((F(2), F(2)), (F(2), F(2)))),
+)
+
+
+class TestSlicedPeak:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(sliceable_cases())
+    @example((*TWIN_STRETCHED, 32))
+    @example((*TWIN_STRETCHED, 64))
+    def test_closed_form_agrees_with_the_simulator(self, case):
+        instance, schedule, k = case
+        report = check_feasibility(instance, time_slice(instance, schedule, k))
+        peak = _sliced_peak(instance, schedule, k)
+        assert (peak > 1) == (not report.feasible)
+        assert peak == max(t for row in report.trajectory.temperatures for t in row)
+
+
+class TestSliceLimit:
+    def test_explicit_k_over_the_limit_raises(self, twin_instance, twin_optimum):
+        # one interval, two loaded jobs: 2k spans
+        k = MAX_SLICE_SPANS // 2 + 1
+        with pytest.raises(InputError, match="spans"):
+            time_slice(twin_instance, twin_optimum, k)
+
+    def test_auto_refuses_a_slicing_over_the_limit(self, twin_instance, twin_optimum):
+        with pytest.raises(InputError, match="spans"):
+            # the closed form accepts k = 2**20 here, which would take 2**21 spans
+            discretize_auto(twin_instance, twin_optimum, 1 + F(1, 10**6))
+
+
+class TestDiscretizeLogging:
+    def test_debug_event_lists_the_trials(self, twin_instance, twin_optimum, caplog):
+        with caplog.at_level(logging.DEBUG, logger="tempsched"):
+            _, k, _ = discretize_auto(twin_instance, twin_optimum, F(101, 100))
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("discretize_auto")]
+        message = record.getMessage()
+        trials = [(int(t), F(p)) for t, p in re.findall(r"k=(\d+) peak=(\S+?)[,;]", message)]
+        assert [t for t, _ in trials] == [2**i for i in range(k.bit_length())]
+        assert all(p > 1 for _, p in trials[:-1]) and trials[-1][1] <= 1
+        assert message.endswith(f"accepted k {k}")
+        assert "gamma 101/100" in message
