@@ -51,6 +51,7 @@ from .lp import (
     PivotLimitError,
     build_order_lp,
     constraint_count,
+    dual_bound,
     extract_schedule,
     lp_text,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "check_feasibility",
     "constraint_count",
     "discretize_auto",
+    "dual_bound",
     "dump_instance",
     "dump_schedule",
     "emit_csv",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -26,7 +25,7 @@ from .discretize import discretize_auto, gamma_scale, time_slice
 from .dynamics import FeasibilityReport, check_feasibility, simulate
 from .files import load_instance, load_schedule, save_schedule
 from .lp import build_order_lp, extract_schedule
-from .plot import emit_csv, emit_svg
+from .plot import approx, emit_csv, emit_svg
 from .simplex import solve_lp
 from .solvers import (
     DEFAULT_BRUTE_CAP,
@@ -49,11 +48,7 @@ def _rat(value: Fraction) -> str:
         raise InputError(
             f"a result has more than {sys.get_int_max_str_digits()} digits and cannot be printed"
         ) from exc
-    try:
-        approx = float(value)
-    except OverflowError:  # beyond the float range, which decimals do not have
-        approx = Decimal(value.numerator) / value.denominator
-    return f"{exact} (~{approx:.6g})"
+    return f"{exact} (~{approx(value):.6g})"
 
 
 def _print_report(instance: Instance, report: FeasibilityReport) -> None:

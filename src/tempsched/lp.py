@@ -103,11 +103,45 @@ class LpProblem:
 class LpSolution:
     """A solver's verdict. `x` is the optimal vertex, one value per column
     in the order of `LpProblem.variables`; it is empty unless the status
-    is "optimal"."""
+    is "optimal".
+
+    `y` holds the optimal duals, one per constraint in the constraint's own
+    orientation: `y_i <= 0` on a `<=` row, any sign on a `==` row, and
+    `A^T y <= c` column by column. By weak duality `y . b` is then a lower
+    bound on the LP, and `dual_bound(problem, y) == value` certifies the
+    optimum without trusting the solver. `y` is empty where no solver
+    supplied it.
+    """
 
     status: Literal["optimal", "infeasible", "unbounded"]
     value: Fraction | None
     x: tuple[Fraction, ...]
+    y: tuple[Fraction, ...] = ()
+
+
+def dual_bound(problem: LpProblem, y: Sequence[Fraction]) -> Fraction | None:
+    """`y . b` if `y`, one value per constraint, is dual feasible; else None.
+
+    Dual feasible means `y_i <= 0` on every `<=` row and `A^T y <= c` on
+    every column. Weak duality then makes `y . b` a lower bound on
+    `c . x` at every feasible x, so a bound equal to a solution's value
+    proves that solution optimal.
+    """
+    if len(y) != len(problem.constraints):
+        return None
+    reduced = list(problem.objective)  # c - A^T y, column by column
+    bound = Fraction(0)
+    for con, yi in zip(problem.constraints, y):
+        if not yi:
+            continue
+        if yi > 0 and con.relation == "<=":
+            return None
+        for i, c in con.coeffs:
+            reduced[i] -= c * yi
+        bound += con.rhs * yi
+    if any(r < 0 for r in reduced):
+        return None
+    return bound
 
 
 Objective = Literal["sum", "makespan"]

@@ -9,6 +9,7 @@ else.
 from __future__ import annotations
 
 import csv
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
@@ -16,8 +17,16 @@ from typing import Union
 from .core import Trajectory
 
 
+def approx(value: Fraction) -> Union[float, Decimal]:
+    """`value` as a float, or as a Decimal where it is beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return Decimal(value.numerator) / value.denominator
+
+
 def _dec(value: Fraction) -> str:
-    return format(float(value), ".12g")
+    return format(approx(value), ".12g")
 
 
 def emit_csv(trajectory: Trajectory, path: Union[str, Path]) -> None:
@@ -55,10 +64,12 @@ def emit_svg(trajectory: Trajectory, path: Union[str, Path]) -> None:
     width = _MARGIN_L + _PANEL_W + _MARGIN_R
     height = _MARGIN_T + njobs * (_PANEL_H + _GAP)
     t_end = trajectory.end
-    x_span = float(t_end) if t_end > 0 else 1.0
+    x_span = t_end if t_end > 0 else Fraction(1)
 
+    # Positions divide in Fractions first, so that no value beyond the float
+    # range is converted.
     def x(t: Fraction) -> float:
-        return _MARGIN_L + float(t) / x_span * _PANEL_W
+        return _MARGIN_L + float(t / x_span) * _PANEL_W
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -71,7 +82,7 @@ def emit_svg(trajectory: Trajectory, path: Union[str, Path]) -> None:
         y_max = max([Fraction(23, 20)] + [t * Fraction(23, 20) for t in temps])
 
         def y(v: Fraction, top=top, y_max=y_max) -> float:
-            return top + _PANEL_H - float(v) / float(y_max) * _PANEL_H
+            return top + _PANEL_H - float(v / y_max) * _PANEL_H
 
         parts.append('<g stroke="none">')
         nseg = max(len(trajectory.breakpoints) - 1, 0)

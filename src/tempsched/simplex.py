@@ -29,6 +29,13 @@ unchanged by positive row factors, so the pivots, the vertex and the
 value are those of the rational tableau. Values become `Fraction`s only
 when the optimal vertex is read off.
 
+The optimal duals are read off the final phase-2 reduced-cost row at each
+row's slack or artificial column, undoing the row's sign flip; the cost row
+carries its positive factor in a column no constraint row holds. Phase 2
+bans columns that may keep a negative reduced cost; phase 1's duals, of
+value 0 and positive on those columns, are then added in until none is
+negative, so `y` is always dual feasible (`lp.dual_bound` checks it).
+
 `solve_lp` logs one DEBUG event per call to the `tempsched` logger: the
 tableau's rows and columns, the pivots of each phase and how many of them
 Bland's rule picked.
@@ -193,11 +200,28 @@ def _reduced_costs(objective, rows, basis):
     return cost
 
 
+def _prices(cost, starts, art0, scale_col, art_cost):
+    """The simplex multipliers of the rows as set up, read off a final cost row.
+
+    Row i's first basic column is its slack or artificial, with coefficient
+    1 in row i only before the row was scaled by a positive factor, so its
+    reduced cost is its objective coefficient (`art_cost` for an
+    artificial, 0 for a slack) minus row i's multiplier; the factor scales
+    the column and the row alike and cancels.
+    """
+    scale = cost[scale_col]
+    return [
+        Fraction((art_cost if b >= art0 else 0) * scale - cost.get(b, 0), scale)
+        for b in starts
+    ]
+
+
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve min c.x s.t. the problem's constraints and x >= 0, exactly.
 
-    Returns an optimal vertex, one value per column, or a solution object
-    whose status reports infeasibility/unboundedness.
+    Returns an optimal vertex, one value per column, with optimal duals,
+    one per constraint, or a solution object whose status reports
+    infeasibility/unboundedness.
     """
     nstruct = len(problem.variables)
 
@@ -215,6 +239,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     nslack = sum(1 for _, rel, _ in specs if rel in ("<=", ">="))
     narts = sum(1 for _, rel, _ in specs if rel != "<=")
     rhs_col = nstruct + nslack + narts
+    # No row holds this column, so a cost row's entry there is its scale.
+    scale_col = rhs_col + 1
 
     rows = []
     basis = []
@@ -234,23 +260,25 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             art_cols.append(art_idx)
             art_idx += 1
         rows.append(_scaled_ints(row))
+    starts = list(basis)
 
     # An artificial that leaves the basis never re-enters.
     banned = set(art_cols)
     phase1, phase2 = [0, 0], [0, 0]
     status = "optimal"
+    cost1 = None
     if art_cols:
-        cost = _reduced_costs({a: 1 for a in art_cols}, rows, basis)
-        status, cost = _run_simplex(rows, cost, basis, rhs_col, banned, phase1)
-        if status != "optimal" or cost.get(rhs_col, 0) < 0:
+        cost = _reduced_costs({a: 1 for a in art_cols} | {scale_col: 1}, rows, basis)
+        status, cost1 = _run_simplex(rows, cost, basis, rhs_col, banned, phase1)
+        if status != "optimal" or cost1.get(rhs_col, 0) < 0:
             status = "infeasible"
         else:
             # Keeps every artificial still basic at zero (see the module notes).
-            banned.update(j for j, v in cost.items() if v > 0 and j != rhs_col)
+            banned.update(j for j, v in cost1.items() if v > 0 and j < rhs_col)
 
     if status == "optimal":
-        cost = _reduced_costs(dict(enumerate(problem.objective)), rows, basis)
-        status, _ = _run_simplex(rows, cost, basis, rhs_col, banned, phase2)
+        cost = _reduced_costs(dict(enumerate(problem.objective)) | {scale_col: 1}, rows, basis)
+        status, cost = _run_simplex(rows, cost, basis, rhs_col, banned, phase2)
     # Imported on first use: at the top, `logging` would add about a tenth
     # to the time of `import tempsched`, which runs that need no LP pay too.
     import logging
@@ -266,4 +294,18 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     for row, b in zip(rows, basis):
         if b < nstruct:
             x[b] = Fraction(row.get(rhs_col, 0), row[b])
-    return LpSolution("optimal", problem.objective_value(x), tuple(x))
+    art0 = nstruct + nslack
+    y = _prices(cost, starts, art0, scale_col, 0)
+    # A banned column may end phase 2 with a negative reduced cost. Phase 1's
+    # prices have value 0 and a positive reduced cost on every banned column,
+    # so adding enough of them makes every reduced cost nonnegative.
+    short = [j for j in banned if j < art0 and cost.get(j, 0) < 0]
+    if short:
+        y1 = _prices(cost1, starts, art0, scale_col, 1)
+        t = max(
+            Fraction(-cost[j] * cost1[scale_col], cost[scale_col] * cost1[j]) for j in short
+        )
+        y = [a + t * b for a, b in zip(y, y1)]
+    signs = [-1 if con.rhs < 0 else 1 for con in problem.constraints]
+    y = tuple(v * s for v, s in zip(y, signs))
+    return LpSolution("optimal", problem.objective_value(x), tuple(x), y)

@@ -4,6 +4,11 @@
   time completion order (optimal for common heating/cooling rates), with a
   brute-force all-orders variant kept as the correctness oracle and as the
   fallback for job-dependent rates.
+* The brute force (`_best_order`) is branch and bound with LP bounds (Land
+  & Doig 1960): the exact optimal duals of every LP solved so far are
+  kept, and an order whose LP one of them bounds at a value that cannot
+  win is not solved. Weak duality makes the bound exact, so the result is
+  the lexicographically first optimum of a plain enumeration.
 * Makespan: closed form max(max_j q_j, sum_j p_j / m) where q_j is the
   one-job minimum; the witness schedule runs every job at the constant
   rate p_j / makespan.
@@ -15,7 +20,15 @@ import itertools
 from fractions import Fraction
 
 from .core import Instance, InputError, Job, NormalSchedule, normalize, positive_int
-from .lp import LpSolution, NoScheduleError, Objective, build_order_lp, extract_schedule
+from .lp import (
+    LpProblem,
+    LpSolution,
+    NoScheduleError,
+    Objective,
+    build_order_lp,
+    dual_bound,
+    extract_schedule,
+)
 from .simplex import solve_lp
 
 DEFAULT_BRUTE_CAP = 7
@@ -58,9 +71,32 @@ def solve_sum(instance: Instance) -> tuple[NormalSchedule, Fraction]:
     return extract_schedule(instance, order, solution), solution.value
 
 
+def _solve_order_lp(problem: LpProblem, order: tuple[int, ...]) -> LpSolution:
+    solution = solve_lp(problem)
+    if solution.status != "optimal":
+        raise NoScheduleError(f"order LP {order} is {solution.status}")
+    return solution
+
+
 def _best_order(
     instance: Instance, objective: Objective, cap: int
 ) -> tuple[tuple[int, ...], Fraction, LpSolution]:
+    """The lexicographically first optimal order, its value and its LP solution.
+
+    The SPT order's LP is solved first: its value `upper` bounds the
+    optimum, and its duals start a pool. Every order's LP is built, and its
+    solve is skipped when a pooled `y` is dual feasible for it with
+    `y . b > upper`, or `y . b >=` the best value so far: by weak duality
+    the order cannot then be a strictly better optimum, so the first
+    optimum, and its solution, are those of a plain enumeration. A pooled
+    `y` from an LP with the same constraint matrix and objective is dual
+    feasible as it stands; any other is checked exactly with `dual_bound`.
+    A solved LP's duals join the pool once `dual_bound` certifies them, and
+    the pool lives only as long as the call.
+
+    Logs one DEBUG event to the `tempsched` logger: the orders enumerated,
+    the LPs solved (the guide's included) and the orders pruned.
+    """
     positive_int(cap, "brute-force cap")
     if instance.n == 0:
         raise InputError("cannot solve an instance with no jobs")
@@ -69,14 +105,82 @@ def _best_order(
             f"{instance.n} jobs means {instance.n}! order LPs; the cap is {cap} "
             "(raise it explicitly if you mean it)"
         )
+    # Per certified dual: whether its LP has the guide LP's shape, and its
+    # nonzero (row, y_i).
+    pool = []
+
+    def admit(problem, guide_shaped, solution):
+        if dual_bound(problem, solution.y) == solution.value:
+            pool.append((guide_shaped, tuple((i, v) for i, v in enumerate(solution.y) if v)))
+
+    guide = spt_order(instance)
+    guide_lp = build_order_lp(instance, guide, objective)
+    guide_solution = _solve_order_lp(guide_lp, guide)
+    admit(guide_lp, True, guide_solution)
+    upper = guide_solution.value
+
     best = None
+    orders, solved, pruned = 0, 1, 0
     for perm in itertools.permutations(range(instance.n)):
-        solution = solve_lp(build_order_lp(instance, perm, objective))
-        if solution.status != "optimal":
-            raise NoScheduleError(f"order LP {perm} is {solution.status}")
+        orders += 1
+        problem = guide_lp if perm == guide else build_order_lp(instance, perm, objective)
+        guide_shaped = _same_shape(problem, guide_lp)
+        if _pruned(problem, guide_shaped, pool, upper, None if best is None else best[1]):
+            pruned += 1
+            continue
+        if perm == guide:
+            solution = guide_solution
+        else:
+            solution = _solve_order_lp(problem, perm)
+            solved += 1
+            admit(problem, guide_shaped, solution)
         if best is None or solution.value < best[1]:
             best = (perm, solution.value, solution)
+    import logging  # on first use, as in solve_lp
+
+    logging.getLogger("tempsched").debug(
+        "best order (%s): %d orders, %d LPs solved, %d pruned",
+        objective, orders, solved, pruned,
+    )
     return best
+
+
+def _same_shape(a: LpProblem, b: LpProblem) -> bool:
+    """Whether two LPs share their constraint matrix, relations and objective."""
+    return (
+        a.objective == b.objective
+        and len(a.constraints) == len(b.constraints)
+        and all(
+            p.coeffs == q.coeffs and p.relation == q.relation
+            for p, q in zip(a.constraints, b.constraints)
+        )
+    )
+
+
+def _pruned(problem, guide_shaped, pool, upper, incumbent) -> bool:
+    """Whether a pooled dual proves the LP's value over `upper` or at least
+    `incumbent` (None before the first solve).
+
+    A dual from an LP shaped as the guide's is dual feasible as it stands
+    when `guide_shaped` says the LP has that shape too. The search runs from
+    the end of the pool, and a dual that prunes moves there, since the next
+    orders in lexicographic order are close to this one.
+    """
+    rows = problem.constraints
+    for k in range(len(pool) - 1, -1, -1):
+        from_guide_shape, y = pool[k]
+        bound = sum((rows[i].rhs * v for i, v in y), Fraction(0))
+        if bound > upper or (incumbent is not None and bound >= incumbent):
+            if from_guide_shape and guide_shaped:
+                pool.append(pool.pop(k))
+                return True
+            dense = [Fraction(0)] * len(rows)
+            for i, v in y:
+                dense[i] = v
+            if dual_bound(problem, dense) is not None:
+                pool.append(pool.pop(k))
+                return True
+    return False
 
 
 def solve_sum_bruteforce(

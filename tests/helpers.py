@@ -11,7 +11,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from tempsched import Instance, LpProblem, NormalSchedule, simulate
+from tempsched import (
+    Instance, LpProblem, NormalSchedule, build_order_lp, dual_bound, simulate, solve_lp,
+)
 
 F = Fraction
 
@@ -195,3 +197,28 @@ def lemma_assignment(
             values[f"w_{i + 1}_{j + 1}"] = schedule.work[i][job_index] - before
             values[f"T_{i + 1}_{j + 1}"] = traj.temperatures[job_index][k]
     return tuple(values[v] for v in variables)
+
+
+def certified(solve):
+    """`solve` that also asserts the exact dual certificate of every optimum:
+    the returned `y` is dual feasible with `y . b` equal to the value."""
+
+    def solve_and_check(problem):
+        sol = solve(problem)
+        if sol.status == "optimal":
+            assert dual_bound(problem, sol.y) == sol.value, (problem, sol)
+        return sol
+
+    return solve_and_check
+
+
+def plain_best_order(instance: Instance, objective: str):
+    """(order, value, solution) of the lexicographically first optimal
+    completion order, found by solving every order LP."""
+    best = None
+    for order in itertools.permutations(range(instance.n)):
+        sol = solve_lp(build_order_lp(instance, order, objective))
+        assert sol.status == "optimal", order
+        if best is None or sol.value < best[1]:
+            best = (order, sol.value, sol)
+    return best

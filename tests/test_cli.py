@@ -185,6 +185,19 @@ class TestSolveMakespan:
         assert main(["solve-makespan", path]) == 0
         assert "(~2.00000e+400)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, expected", [
+        ("--csv", "2.00000000000e+400,0,1"),
+        ("--svg", "t=2.00000000000e+400"),
+    ])
+    def test_artifacts_beyond_float_range_written(self, tmp_path, flag, expected):
+        # The makespan 2e400 is past the float range; the files print it as a
+        # decimal, and the plot divides before converting to floats.
+        path = _write(tmp_path, "big.json",
+                      {"alpha": "-1", "beta": 1, "jobs": [{"id": "j1", "p": "1e400"}]})
+        out = tmp_path / f"traj.{flag[2:]}"
+        assert main(["solve-makespan", path, flag, str(out)]) == 0
+        assert expected in out.read_text()
+
 
 class TestVerifyAndSimulate:
     def test_feasible_exit_0(self, twin_file, tmp_path, capsys):

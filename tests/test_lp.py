@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from tempsched import (
     build_order_lp,
     check_feasibility,
     constraint_count,
+    dual_bound,
     extract_schedule,
     loads_from_normal,
     lp,
@@ -24,7 +26,15 @@ from tempsched import (
 )
 from tempsched.generate import random_instance
 
+from .helpers import certified
+
 F = Fraction
+
+
+@pytest.fixture(autouse=True)
+def _every_optimum_certified(monkeypatch):
+    """Every optimum solved in this file must carry its exact dual certificate."""
+    monkeypatch.setattr(sys.modules[__name__], "solve_lp", certified(solve_lp))
 
 
 class TestBuildOrderLp:
@@ -170,6 +180,32 @@ class TestLpProblem:
             prob.violated_constraints((F(0),))
         with pytest.raises(InputError):
             prob.objective_value((F(0), F(0), F(0)))
+
+
+class TestDualBound:
+    # min x + 2y s.t. x + y >= 3 (as a `<=` row) and y == 1: the optimum is 4,
+    # at x = 2, and the optimal dual is (-1, 1).
+    PROB = LpProblem(("x", "y"), (F(1), F(2)), (
+        Constraint("cover", ((0, F(-1)), (1, F(-1))), "<=", F(-3)),
+        Constraint("fix", ((1, F(1)),), "==", F(1)),
+    ))
+
+    def test_optimal_dual_certifies_the_optimum(self):
+        assert dual_bound(self.PROB, (F(-1), F(1))) == 4
+        sol = solve_lp(self.PROB)
+        assert (sol.value, sol.y) == (4, (F(-1), F(1)))
+
+    def test_feasible_duals_give_lower_bounds(self):
+        assert dual_bound(self.PROB, (F(0), F(0))) == 0
+        assert dual_bound(self.PROB, (F(-1, 2), F(0))) == F(3, 2)
+        # an equality row's dual may take either sign
+        assert dual_bound(self.PROB, (F(-1), F(-5))) == -2
+
+    def test_infeasible_duals_rejected(self):
+        assert dual_bound(self.PROB, (F(1), F(0))) is None  # positive on a `<=` row
+        assert dual_bound(self.PROB, (F(-2), F(0))) is None  # column x: 2 > 1
+        assert dual_bound(self.PROB, (F(-1), F(2))) is None  # column y: 3 > 2
+        assert dual_bound(self.PROB, (F(-1),)) is None  # one value short
 
 
 class TestSolveGoldenLp:

@@ -1,18 +1,32 @@
 import itertools
 import logging
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from tempsched import (
-    Constraint, LpProblem, PivotLimitError, SchedulingError, build_order_lp, simplex, solve_lp,
+    Constraint,
+    LpProblem,
+    PivotLimitError,
+    SchedulingError,
+    build_order_lp,
+    dual_bound,
+    simplex,
+    solve_lp,
 )
 from tempsched.generate import random_instance
 
-from .helpers import random_small_lp, vertex_minimum
+from .helpers import certified, random_small_lp, vertex_minimum
 
 F = Fraction
+
+
+@pytest.fixture(autouse=True)
+def _every_optimum_certified(monkeypatch):
+    """Every optimum solved in this file must carry its exact dual certificate."""
+    monkeypatch.setattr(sys.modules[__name__], "solve_lp", certified(solve_lp))
 
 
 def _lp(variables, objective, constraints):
@@ -312,3 +326,70 @@ class TestPricing:
         assert phase2 == len(pivots) and 0 < bland <= phase2
         assert "Bland" in records[0].getMessage()
         assert records[1].args[:4] == ("infeasible", 1, 2, 0)
+
+
+def _seeded_order_lps(per_instance):
+    """(problem, solution) for up to `per_instance` orders of seeded instances,
+    n 1..5, m 1..3, rates common and job-dependent, both objectives."""
+    rng = random.Random(2004)
+    for n in range(1, 6):
+        for machines in (1, 2, 3):
+            for common in (True, False):
+                inst = random_instance(rng, n, machines, common_rates=common)
+                orders = list(itertools.permutations(range(n)))
+                for order in rng.sample(orders, min(len(orders), per_instance)):
+                    for objective in ("sum", "makespan"):
+                        prob = build_order_lp(inst, order, objective)
+                        yield prob, solve_lp(prob)
+
+
+class TestDualCertificate:
+    """`solve_lp`'s duals against `dual_bound`, which shares no code with it."""
+
+    def test_order_lps(self):
+        count = 0
+        for prob, sol in _seeded_order_lps(3):
+            assert sol.status == "optimal"
+            assert len(sol.y) == len(prob.constraints)
+            assert dual_bound(prob, sol.y) == sol.value
+            count += 1
+        assert count == 2 * 3 * 2 * (1 + 2 + 3 + 3 + 3)
+
+    def test_zero_optimum(self):
+        # min x - y s.t. y <= x, x <= 2, y >= 1: the optimum 0 is at x = y, and
+        # the only optimal dual is (-1, 0, 0); the last row needs an artificial.
+        prob = _lp(("x", "y"), (F(1), F(-1)), [
+            Constraint("order", ((0, F(-1)), (1, F(1))), "<=", F(0)),
+            Constraint("cap", ((0, F(1)),), "<=", F(2)),
+            Constraint("floor", ((1, F(-3, 7)),), "<=", F(-3, 7)),
+        ])
+        sol = solve_lp(prob)
+        assert sol.value == 0
+        assert sol.y == (F(-1), F(0), F(0))
+        assert dual_bound(prob, sol.y) == 0
+
+    def test_banned_columns_keep_the_dual_feasible(self):
+        # Phase 1 bans x and y (both 0 on every feasible point); phase 2's own
+        # prices leave x's reduced cost negative, so phase 1's are added in.
+        prob = _lp(("x", "y", "z"), (F(-1), F(2), F(1)), [
+            Constraint("cap", ((0, F(1)), (1, F(1))), "<=", F(0)),
+            Constraint("implied", ((0, F(-1)), (1, F(-2))), "==", F(0)),
+            Constraint("zmin", ((2, F(-1)),), "<=", F(-1)),
+        ])
+        sol = solve_lp(prob)
+        assert (sol.value, sol.x) == (1, (F(0), F(0), F(1)))
+        assert dual_bound(prob, sol.y) == 1
+
+    def test_mutated_duals_rejected(self):
+        # Every `==` row of an order LP has a positive right-hand side, and
+        # every value is positive, so neither mutation can keep the bound.
+        mutants = 0
+        for prob, sol in _seeded_order_lps(1):
+            assert sol.value > 0
+            for i, v in enumerate(sol.y):
+                if v:
+                    flipped = sol.y[:i] + (-v,) + sol.y[i + 1:]
+                    assert dual_bound(prob, flipped) != sol.value
+                    mutants += 1
+            assert dual_bound(prob, tuple(2 * v for v in sol.y)) != sol.value
+        assert mutants > 100

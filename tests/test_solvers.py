@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from tempsched import (
     build_order_lp,
     check_feasibility,
     discretize_auto,
+    extract_schedule,
     min_makespan_over_orders,
     min_makespan_single,
     solve_lp,
@@ -26,6 +28,8 @@ from tempsched import (
     time_slice,
 )
 from tempsched.generate import random_instance
+
+from .helpers import plain_best_order
 
 F = Fraction
 
@@ -107,6 +111,57 @@ class TestBruteForce:
             assert any(
                 all(ps[o[i]] <= ps[o[i + 1]] for i in range(2)) for o in winners
             )
+
+
+def _pruning_cases():
+    """Seeded instances up to n=6 and m=3, rates common and job-dependent,
+    with the objectives to check. The two n=6 instances run on one machine
+    and check one objective each, so that the plain enumeration's 720 LPs
+    stay few."""
+    rng = random.Random(1960)
+    cases = [(n, rng.randint(1, 3), common, ("sum", "makespan"))
+             for n in range(1, 6) for common in (True, False)]
+    cases += [(6, 1, True, ("sum",)), (6, 1, False, ("makespan",))]
+    return [
+        pytest.param(random_instance(rng, n, m, common_rates=common), objectives,
+                     id=f"n{n}-m{m}-{'common' if common else 'mixed'}")
+        for n, m, common, objectives in cases
+    ]
+
+
+class TestPruning:
+    """The pruned search against a plain enumeration of every order LP."""
+
+    @pytest.mark.parametrize("inst, objectives", _pruning_cases())
+    def test_same_order_value_and_schedule_as_plain_enumeration(self, inst, objectives):
+        if "sum" in objectives:
+            order, value, sol = plain_best_order(inst, "sum")
+            schedule = extract_schedule(inst, order, sol)
+            assert solve_sum_bruteforce(inst) == (schedule, value, order)
+        if "makespan" in objectives:
+            order, value, _ = plain_best_order(inst, "makespan")
+            assert min_makespan_over_orders(inst) == (value, order)
+
+    def test_common_rates_solve_few_lps(self, monkeypatch):
+        calls = []
+
+        def counted(problem):
+            calls.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(solvers, "solve_lp", counted)
+        inst = random_instance(random.Random(8), 5, 2)
+        solve_sum_bruteforce(inst)
+        assert len(calls) < 120
+
+    def test_one_debug_event_per_search(self, caplog, twin_instance):
+        with caplog.at_level(logging.DEBUG, logger="tempsched"):
+            solve_sum_bruteforce(twin_instance)
+        events = [r for r in caplog.records if r.getMessage().startswith("best order")]
+        assert len(events) == 1
+        objective, orders, solved, pruned = events[0].args
+        # the guide (0, 1) wins; (1, 0) ties it, so its bound prunes it
+        assert (objective, orders, solved, pruned) == ("sum", 2, 1, 1)
 
 
 class TestNonOptimalOrderLp:
