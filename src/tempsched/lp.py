@@ -17,8 +17,9 @@ cools, so only w_i_j and T_i_j with i <= j are variables of the LP;
 
 A point `x` of an LP holds one value per column. `_col_d`, `_col_w` and
 `_col_t` lay out the order LP's columns for both `build_order_lp` and
-`extract_schedule`; the names in `LpProblem.variables` serve only
-`lp_text` and `violated_constraints`.
+`extract_schedule`, and the `_row_*` helpers its rows for both
+`build_order_lp` and `duals.OrderDual`; the names in `LpProblem.variables` and
+`Constraint.name` serve only `lp_text` and `violated_constraints`.
 """
 
 from __future__ import annotations
@@ -125,8 +126,10 @@ def dual_bound(problem: LpProblem, y: Sequence[Fraction]) -> Fraction | None:
     Dual feasible means `y_i <= 0` on every `<=` row and `A^T y <= c` on
     every column. Weak duality then makes `y . b` a lower bound on
     `c . x` at every feasible x, so a bound equal to a solution's value
-    proves that solution optimal.
+    proves that solution optimal. Entries must be ints or Fractions: a
+    float could pass the test by rounding.
     """
+    _check_dual(y)
     if len(y) != len(problem.constraints):
         return None
     reduced = list(problem.objective)  # c - A^T y, column by column
@@ -142,6 +145,11 @@ def dual_bound(problem: LpProblem, y: Sequence[Fraction]) -> Fraction | None:
     if any(r < 0 for r in reduced):
         return None
     return bound
+
+
+def _check_dual(y: Sequence[Fraction]) -> None:
+    if not all(map(_exact, y)):
+        raise InputError("dual values must be ints or Fractions")
 
 
 Objective = Literal["sum", "makespan"]
@@ -169,6 +177,43 @@ def _col_t(n: int, i: int, j: int) -> int:
     return n - 1 + n * (n + 1) // 2 + _tri(n, i, j)
 
 
+def _row_done(j: int) -> int:
+    """Row of done_j, j >= 2: the work rows come first."""
+    return j - 2
+
+
+def _row_manage(n: int, i: int) -> int:
+    """Row of manage_i: the machine-time rows follow, one per interval."""
+    return n - 2 + i
+
+
+def _row_rate(n: int, i: int, j: int) -> int:
+    """Row of rate_i_j, i <= j, when m > 1: the one-machine rows follow."""
+    return 2 * n - 1 + _tri(n, i, j)
+
+
+def _row_step(n: int, m: int, i: int, j: int) -> int:
+    """Row of temp_step_i_j, i <= j: after the rate rows, which exist only
+    when m > 1."""
+    return 2 * n - 1 + (n * (n + 1) // 2 if m > 1 else 0) + _tri(n, i, j)
+
+
+def _row_cap(n: int, m: int, i: int, j: int) -> int:
+    """Row of temp_cap_i_j, i <= j: the threshold rows come last."""
+    return _row_step(n, m, i, j) + n * (n + 1) // 2
+
+
+def _lp_shape(instance: Instance, objective: Objective) -> tuple[Instance, int, int]:
+    """The normalized instance, n, and the order LPs' machine count m,
+    which is 1 for one job (see `build_order_lp`)."""
+    instance = normalize(instance)
+    if instance.n == 0:
+        raise InputError("cannot build an LP for an instance with no jobs")
+    if objective not in ("sum", "makespan"):
+        raise InputError(f"unknown objective {objective!r}")
+    return instance, instance.n, instance.machines if instance.n > 1 else 1
+
+
 def _check_order(n: int, order: Sequence[int]) -> None:
     if sorted(order) != list(range(n)):
         raise InputError(f"order must be a permutation of 0..{n - 1}")
@@ -193,7 +238,7 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
     both are nondecreasing by the columns' nonnegativity alone. Constant
     terms move to the right-hand side.
 
-    Constraint families, in emission order:
+    Constraint families, in row order (the `_row_*` helpers):
       * done_j (j >= 2): the work on job j over intervals 1..j is p_j;
       * manage_i: per interval, total work fits in m machine-time;
       * rate_i_j (only m > 1, j >= i): per interval, a running job gets
@@ -207,14 +252,8 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
     The sum of completions is sum_i (n - i + 1) D_i, since D_i is part of
     every completion from the i-th on; the makespan is sum_i D_i.
     """
-    instance = normalize(instance)
-    n = instance.n
-    if n == 0:
-        raise InputError("cannot build an LP for an instance with no jobs")
+    instance, n, m = _lp_shape(instance, objective)
     _check_order(n, order)
-    if objective not in ("sum", "makespan"):
-        raise InputError(f"unknown objective {objective!r}")
-    m = instance.machines if n > 1 else 1
     jobs = [instance.jobs[k] for k in order]  # jobs[j-1] completes j-th
 
     names: list[str] = [f"D_{i}" for i in range(1, n + 1)]
@@ -227,35 +266,32 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
         the constant w_1_1."""
         return (None, coeff * jobs[0].p) if i == j == 1 else (_col_w(n, i, j), coeff)
 
-    cons: list[Constraint] = []
+    cons: list[Constraint | None] = [None] * constraint_count(n, m)
 
-    def emit(name: str, terms, relation: Relation = "<=", rhs: Fraction = zero) -> None:
+    def emit(row: int, name: str, terms, relation: Relation = "<=", rhs: Fraction = zero) -> None:
         coeffs = []
         for col, c in terms:
             if col is None:
                 rhs -= c
             else:
                 coeffs.append((col, c))
-        cons.append(Constraint(name, tuple(coeffs), relation, rhs))
+        cons[row] = Constraint(name, tuple(coeffs), relation, rhs)
 
     for j in range(2, n + 1):
-        emit(f"done_{j}", [w(i, j, one) for i in range(1, j + 1)], "==", jobs[j - 1].p)
+        emit(_row_done(j), f"done_{j}", [w(i, j, one) for i in range(1, j + 1)], "==",
+             jobs[j - 1].p)
     for i in range(1, n + 1):
-        emit(f"manage_{i}", [w(i, j, one) for j in range(i, n + 1)] + [(_col_d(i), Fraction(-m))])
-    if m > 1:
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                emit(f"rate_{i}_{j}", (w(i, j, one), (_col_d(i), -one)))
-    for i in range(1, n + 1):
+        emit(_row_manage(n, i), f"manage_{i}",
+             [w(i, j, one) for j in range(i, n + 1)] + [(_col_d(i), Fraction(-m))])
         for j in range(i, n + 1):
+            if m > 1:
+                emit(_row_rate(n, i, j), f"rate_{i}_{j}", (w(i, j, one), (_col_d(i), -one)))
             a, b = jobs[j - 1].alpha, jobs[j - 1].beta
             terms = [(_col_d(i), a), w(i, j, b - a), (_col_t(n, i, j), -one)]
             if i > 1:
                 terms.append((_col_t(n, i - 1, j), one))
-            emit(f"temp_step_{i}_{j}", terms)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            emit(f"temp_cap_{i}_{j}", ((_col_t(n, i, j), one),), rhs=one)
+            emit(_row_step(n, m, i, j), f"temp_step_{i}_{j}", terms)
+            emit(_row_cap(n, m, i, j), f"temp_cap_{i}_{j}", ((_col_t(n, i, j), one),), rhs=one)
 
     obj = [zero] * len(names)
     for i in range(1, n + 1):
@@ -266,10 +302,7 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
 
 def constraint_count(n: int, machines: int) -> int:
     """Closed-form size of the constraint list emitted by build_order_lp."""
-    count = n * n + 3 * n - 1
-    if machines > 1 and n > 1:
-        count += n * (n + 1) // 2
-    return count
+    return _row_cap(n, machines if n > 1 else 1, n, n) + 1
 
 
 def extract_schedule(

@@ -7,8 +7,9 @@
 * The brute force (`_best_order`) is branch and bound with LP bounds (Land
   & Doig 1960): the exact optimal duals of every LP solved so far are
   kept, and an order whose LP one of them bounds at a value that cannot
-  win is not solved. Weak duality makes the bound exact, so the result is
-  the lexicographically first optimum of a plain enumeration.
+  win is neither built nor solved. Weak duality makes the bound exact, so
+  the result is the lexicographically first optimum of a plain
+  enumeration.
 * Makespan: closed form max(max_j q_j, sum_j p_j / m) where q_j is the
   one-job minimum; the witness schedule runs every job at the constant
   rate p_j / makespan.
@@ -21,7 +22,6 @@ from fractions import Fraction
 
 from .core import Instance, InputError, Job, NormalSchedule, normalize, positive_int
 from .lp import (
-    LpProblem,
     LpSolution,
     NoScheduleError,
     Objective,
@@ -71,28 +71,20 @@ def solve_sum(instance: Instance) -> tuple[NormalSchedule, Fraction]:
     return extract_schedule(instance, order, solution), solution.value
 
 
-def _solve_order_lp(problem: LpProblem, order: tuple[int, ...]) -> LpSolution:
-    solution = solve_lp(problem)
-    if solution.status != "optimal":
-        raise NoScheduleError(f"order LP {order} is {solution.status}")
-    return solution
-
-
 def _best_order(
     instance: Instance, objective: Objective, cap: int
 ) -> tuple[tuple[int, ...], Fraction, LpSolution]:
     """The lexicographically first optimal order, its value and its LP solution.
 
     The SPT order's LP is solved first: its value `upper` bounds the
-    optimum, and its duals start a pool. Every order's LP is built, and its
-    solve is skipped when a pooled `y` is dual feasible for it with
-    `y . b > upper`, or `y . b >=` the best value so far: by weak duality
-    the order cannot then be a strictly better optimum, so the first
-    optimum, and its solution, are those of a plain enumeration. A pooled
-    `y` from an LP with the same constraint matrix and objective is dual
-    feasible as it stands; any other is checked exactly with `dual_bound`.
-    A solved LP's duals join the pool once `dual_bound` certifies them, and
-    the pool lives only as long as the call.
+    optimum, and its duals start a pool. An order's solve is skipped when
+    a pooled `y` is dual feasible for its LP with `y . b > upper`, or
+    `y . b >=` the best value so far: by weak duality the order cannot then
+    be a strictly better optimum, so the first optimum, and its solution,
+    are those of a plain enumeration. Each pooled `y` is a `duals.OrderDual`,
+    which reads that test off the order, so an order's LP is built only
+    when it is solved. A solved LP's duals join the pool once `dual_bound`
+    certifies them on that LP, and the pool lives only as long as the call.
 
     Logs one DEBUG event to the `tempsched` logger: the orders enumerated,
     the LPs solved (the guide's included) and the orders pruned.
@@ -105,35 +97,35 @@ def _best_order(
             f"{instance.n} jobs means {instance.n}! order LPs; the cap is {cap} "
             "(raise it explicitly if you mean it)"
         )
-    # Per certified dual: whether its LP has the guide LP's shape, and its
-    # nonzero (row, y_i).
-    pool = []
+    from .duals import OrderDual  # on first use: no other path needs it
 
-    def admit(problem, guide_shaped, solution):
+    pool: list[OrderDual] = []
+
+    def solve(order):
+        problem = build_order_lp(instance, order, objective)
+        solution = solve_lp(problem)
+        if solution.status != "optimal":
+            raise NoScheduleError(f"order LP {order} is {solution.status}")
         if dual_bound(problem, solution.y) == solution.value:
-            pool.append((guide_shaped, tuple((i, v) for i, v in enumerate(solution.y) if v)))
+            pool.append(OrderDual(instance, objective, solution.y))
+        return solution
 
     guide = spt_order(instance)
-    guide_lp = build_order_lp(instance, guide, objective)
-    guide_solution = _solve_order_lp(guide_lp, guide)
-    admit(guide_lp, True, guide_solution)
+    guide_solution = solve(guide)
     upper = guide_solution.value
 
     best = None
     orders, solved, pruned = 0, 1, 0
     for perm in itertools.permutations(range(instance.n)):
         orders += 1
-        problem = guide_lp if perm == guide else build_order_lp(instance, perm, objective)
-        guide_shaped = _same_shape(problem, guide_lp)
-        if _pruned(problem, guide_shaped, pool, upper, None if best is None else best[1]):
+        if _pruned(perm, pool, upper, None if best is None else best[1]):
             pruned += 1
             continue
         if perm == guide:
             solution = guide_solution
         else:
-            solution = _solve_order_lp(problem, perm)
+            solution = solve(perm)
             solved += 1
-            admit(problem, guide_shaped, solution)
         if best is None or solution.value < best[1]:
             best = (perm, solution.value, solution)
     import logging  # on first use, as in solve_lp
@@ -145,41 +137,18 @@ def _best_order(
     return best
 
 
-def _same_shape(a: LpProblem, b: LpProblem) -> bool:
-    """Whether two LPs share their constraint matrix, relations and objective."""
-    return (
-        a.objective == b.objective
-        and len(a.constraints) == len(b.constraints)
-        and all(
-            p.coeffs == q.coeffs and p.relation == q.relation
-            for p, q in zip(a.constraints, b.constraints)
-        )
-    )
+def _pruned(order, pool, upper, incumbent) -> bool:
+    """Whether a pooled dual proves `order`'s LP value over `upper` or at
+    least `incumbent` (None before the first solve).
 
-
-def _pruned(problem, guide_shaped, pool, upper, incumbent) -> bool:
-    """Whether a pooled dual proves the LP's value over `upper` or at least
-    `incumbent` (None before the first solve).
-
-    A dual from an LP shaped as the guide's is dual feasible as it stands
-    when `guide_shaped` says the LP has that shape too. The search runs from
-    the end of the pool, and a dual that prunes moves there, since the next
-    orders in lexicographic order are close to this one.
+    The search runs from the end of the pool, and a dual that prunes moves
+    there, since the next orders in lexicographic order are close to this one.
     """
-    rows = problem.constraints
     for k in range(len(pool) - 1, -1, -1):
-        from_guide_shape, y = pool[k]
-        bound = sum((rows[i].rhs * v for i, v in y), Fraction(0))
-        if bound > upper or (incumbent is not None and bound >= incumbent):
-            if from_guide_shape and guide_shaped:
-                pool.append(pool.pop(k))
-                return True
-            dense = [Fraction(0)] * len(rows)
-            for i, v in y:
-                dense[i] = v
-            if dual_bound(problem, dense) is not None:
-                pool.append(pool.pop(k))
-                return True
+        bound = pool[k].bound(order)
+        if bound is not None and (bound > upper or (incumbent is not None and bound >= incumbent)):
+            pool.append(pool.pop(k))
+            return True
     return False
 
 

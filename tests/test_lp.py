@@ -24,6 +24,7 @@ from tempsched import (
     min_makespan_single,
     solve_lp,
 )
+from tempsched.duals import OrderDual
 from tempsched.generate import random_instance
 
 from .helpers import certified
@@ -206,6 +207,65 @@ class TestDualBound:
         assert dual_bound(self.PROB, (F(-2), F(0))) is None  # column x: 2 > 1
         assert dual_bound(self.PROB, (F(-1), F(2))) is None  # column y: 3 > 2
         assert dual_bound(self.PROB, (F(-1),)) is None  # one value short
+
+    def test_inexact_entries_raise(self):
+        # min x s.t. -x <= -3: a float a hair off the dual -1 would round to
+        # the optimum 3 and "certify" it
+        prob = LpProblem(("x",), (F(1),), (Constraint("low", ((0, F(-1)),), "<=", F(-3)),))
+        assert dual_bound(prob, (-1,)) == 3
+        for y in ((-0.9999999999999999999,), (False,), ("x",)):
+            with pytest.raises(InputError, match="ints or Fractions"):
+                dual_bound(prob, y)
+
+
+def _order_dual_cases():
+    """(instance, objective, duals): seeded instances, n 1..5 and m 1..3,
+    with common rates, job-dependent rates, or job-dependent rates and
+    thresholds other than 1. The duals are one order LP's optimal duals and
+    three perturbations: one nonzero entry's sign flipped, all halved, and
+    one nonzero entry scaled by 3/2."""
+    rng = random.Random(1976)
+    for n in range(1, 6):
+        for shift, kind in enumerate(("common", "mixed", "thresholds")):
+            inst = random_instance(rng, n, (n + shift) % 3 + 1, common_rates=kind == "common")
+            if kind == "thresholds":
+                inst = Instance(tuple(
+                    Job(j.id, j.p, j.alpha, j.beta, F(rng.randint(1, 6), rng.randint(1, 3)))
+                    for j in inst.jobs), inst.machines)
+            for objective in ("sum", "makespan"):
+                y = solve_lp(build_order_lp(inst, tuple(rng.sample(range(n), n)), objective)).y
+                k = rng.choice([i for i, v in enumerate(y) if v])
+                duals = [y, tuple(v / 2 for v in y)]
+                duals += [tuple(c * v if i == k else v for i, v in enumerate(y))
+                          for c in (-1, F(3, 2))]
+                yield inst, objective, duals
+
+
+class TestOrderDual:
+    def test_bound_equals_dual_bound_on_the_built_lp(self):
+        found = []
+        for inst, objective, duals in _order_dual_cases():
+            readers = [OrderDual(inst, objective, y) for y in duals]
+            for order in itertools.permutations(range(inst.n)):
+                problem = build_order_lp(inst, order, objective)
+                for reader, y in zip(readers, duals):
+                    expected = dual_bound(problem, y)
+                    assert reader.bound(order) == expected, (inst, objective, order, y)
+                    found.append(expected is None)
+        assert len(found) == 3672 and 0 < sum(found) < len(found)
+
+    def test_foreign_length_gives_none(self, twin_instance):
+        assert OrderDual(twin_instance, "sum", (F(0),) * 8).bound((0, 1)) is None
+
+    def test_rejects_inexact_duals_orders_and_objectives(self, twin_instance):
+        y = solve_lp(build_order_lp(twin_instance, (0, 1), "sum")).y
+        for bad in (0.0, True, "0"):
+            with pytest.raises(InputError, match="ints or Fractions"):
+                OrderDual(twin_instance, "sum", (bad,) + y[1:])
+        with pytest.raises(InputError):
+            OrderDual(twin_instance, "profit", y)
+        with pytest.raises(InputError):
+            OrderDual(twin_instance, "sum", y).bound((0, 0))
 
 
 class TestSolveGoldenLp:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempsched import (
     BruteForceCapError,
@@ -143,16 +145,24 @@ class TestPruning:
             assert min_makespan_over_orders(inst) == (value, order)
 
     def test_common_rates_solve_few_lps(self, monkeypatch):
-        calls = []
+        built, solved = [], []
 
-        def counted(problem):
-            calls.append(problem)
+        def counted_build(instance, order, objective):
+            built.append(order)
+            return build_order_lp(instance, order, objective)
+
+        def counted_solve(problem):
+            solved.append(problem)
             return solve_lp(problem)
 
-        monkeypatch.setattr(solvers, "solve_lp", counted)
+        monkeypatch.setattr(solvers, "build_order_lp", counted_build)
+        monkeypatch.setattr(solvers, "solve_lp", counted_solve)
         inst = random_instance(random.Random(8), 5, 2)
         solve_sum_bruteforce(inst)
-        assert len(calls) < 120
+        assert len(solved) < 120
+        # only the orders solved are built, the guide once
+        assert len(built) == len(solved)
+        assert built.count(spt_order(inst)) == 1
 
     def test_one_debug_event_per_search(self, caplog, twin_instance):
         with caplog.at_level(logging.DEBUG, logger="tempsched"):
@@ -162,6 +172,40 @@ class TestPruning:
         objective, orders, solved, pruned = events[0].args
         # the guide (0, 1) wins; (1, 0) ties it, so its bound prunes it
         assert (objective, orders, solved, pruned) == ("sum", 2, 1, 1)
+
+
+@st.composite
+def _instances(draw, common_rates):
+    """Up to five jobs on one to three machines, small rationals; with
+    job-dependent rates, thresholds other than 1 too."""
+    def rational(lo, hi):
+        return st.builds(F, st.integers(lo, hi), st.integers(1, 3))
+
+    def rates():
+        return -draw(rational(1, 6)), draw(rational(1, 6))
+
+    n = draw(st.integers(1, 5))
+    shared = rates()
+    jobs = []
+    for j in range(n):
+        alpha, beta = shared if common_rates else rates()
+        threshold = None if common_rates else draw(st.sampled_from([None, F(1, 2), F(2), F(3)]))
+        jobs.append(Job(f"j{j}", draw(rational(1, 10)), alpha, beta, threshold))
+    return Instance(tuple(jobs), draw(st.integers(1, 3)))
+
+
+class TestOracleProperties:
+    """The solvers' closed forms against the brute force over all orders."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(_instances(common_rates=True))
+    def test_spt_value_equals_brute_force_on_common_rates(self, inst):
+        assert solve_sum(inst)[1] == solve_sum_bruteforce(inst)[1]
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(_instances(common_rates=False))
+    def test_closed_form_makespan_equals_order_lp_minimum(self, inst):
+        assert solve_makespan(inst)[0] == min_makespan_over_orders(inst)[0]
 
 
 class TestNonOptimalOrderLp:
