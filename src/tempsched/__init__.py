@@ -21,7 +21,6 @@ from .core import (
     as_rational,
     loads_from_normal,
     natural_from_intervals,
-    normalize,
     validate_normal_schedule,
 )
 from .discretize import (
@@ -110,7 +109,6 @@ __all__ = [
     "min_makespan_over_orders",
     "min_makespan_single",
     "natural_from_intervals",
-    "normalize",
     "parse_instance",
     "parse_schedule",
     "save_instance",

@@ -15,7 +15,7 @@ schedule loads more than `m` jobs at once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -75,26 +75,24 @@ def positive_int(value: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class Job:
-    """One job: processing time `p`, cooling rate `alpha` (< 0), heating
-    rate `beta` (> 0), and an optional raw temperature threshold.
+    """One job: processing time `p`, cooling rate `alpha` (< 0) and heating
+    rate `beta` (> 0), relative to a temperature threshold of 1.
 
-    A missing threshold means the job is already normalized to threshold 1.
+    A job given a threshold t is the job with rates alpha/t and beta/t and
+    threshold 1: the constructor divides the rates by t and keeps no
+    threshold, so a job and its threshold-scaled twin compare equal.
     """
 
     id: str
     p: Fraction
     alpha: Fraction
     beta: Fraction
-    threshold: Fraction | None = None
+    threshold: InitVar[Fraction | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, threshold):
         object.__setattr__(self, "p", as_rational(self.p, f"job {self.id}: p"))
         object.__setattr__(self, "alpha", as_rational(self.alpha, f"job {self.id}: alpha"))
         object.__setattr__(self, "beta", as_rational(self.beta, f"job {self.id}: beta"))
-        if self.threshold is not None:
-            object.__setattr__(
-                self, "threshold", as_rational(self.threshold, f"job {self.id}: threshold")
-            )
         if not isinstance(self.id, str) or not self.id:
             raise InputError("job id must be a non-empty string")
         if self.p <= 0:
@@ -103,8 +101,12 @@ class Job:
             raise InputError(f"job {self.id}: cooling rate must be negative, got {self.alpha}")
         if self.beta <= 0:
             raise InputError(f"job {self.id}: heating rate must be positive, got {self.beta}")
-        if self.threshold is not None and self.threshold <= 0:
-            raise InputError(f"job {self.id}: threshold must be positive, got {self.threshold}")
+        if threshold is not None:
+            t = as_rational(threshold, f"job {self.id}: threshold")
+            if t <= 0:
+                raise InputError(f"job {self.id}: threshold must be positive, got {t}")
+            object.__setattr__(self, "alpha", self.alpha / t)
+            object.__setattr__(self, "beta", self.beta / t)
 
 
 @dataclass(frozen=True)
@@ -137,32 +139,12 @@ class Instance:
         raise InputError(f"unknown job id: {job_id!r}")
 
     def has_common_rates(self) -> bool:
-        """True when every job shares one (alpha, beta) pair."""
+        """True when every job shares one (alpha, beta) pair; rates are
+        relative to threshold 1, so threshold-scaled twins share theirs."""
         if not self.jobs:
             return True
         first = (self.jobs[0].alpha, self.jobs[0].beta)
         return all((j.alpha, j.beta) == first for j in self.jobs)
-
-
-def normalize(instance: Instance) -> Instance:
-    """Rescale each job's rates by its threshold so every threshold is 1.
-
-    Idempotent: jobs without a threshold (or with threshold 1) pass through.
-    Only functions that read `alpha` or `beta` call this: `build_order_lp`,
-    `simulate`, `discretize_auto`, `min_makespan_single`, and `solve_sum`
-    for its common-rate test. The rest read only `p`, ids and `machines`, which it leaves
-    alone, so every public function accepts thresholds either way.
-    """
-    jobs = []
-    for job in instance.jobs:
-        t = job.threshold
-        if t is None:
-            jobs.append(job)
-        elif t == 1:
-            jobs.append(replace(job, threshold=None))
-        else:
-            jobs.append(Job(job.id, job.p, job.alpha / t, job.beta / t, None))
-    return Instance(tuple(jobs), instance.machines)
 
 
 @dataclass(frozen=True)

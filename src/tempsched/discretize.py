@@ -40,18 +40,16 @@ from .core import (
     as_rational,
     loads_from_normal,
     natural_from_intervals,
-    normalize,
     positive_int,
 )
 from .dynamics import FeasibilityReport, check_feasibility
 
-DEFAULT_K_CEILING = 2**20
-
 # Most spans `time_slice` builds: k times the number of (interval, job)
 # pairs with a positive load. Slicing and checking cost grows linearly in
 # the spans: 2**16 spans took 8.9 s and 73 MB on one core of a 2-CPU x86
-# box, so this limit allows about 2.5 minutes and 1.2 GB. A larger slicing
-# is refused with InputError.
+# box, so this limit allows about 2.5 minutes and 1.2 GB. `time_slice`
+# refuses a larger slicing with InputError, and `discretize_auto` stops its
+# search before one with SliceLimitError.
 MAX_SLICE_SPANS = 2**20
 
 _ZERO = Fraction(0)
@@ -66,7 +64,7 @@ class NotSliceableError(SchedulingError):
 
 
 class SliceLimitError(SchedulingError):
-    """No feasible slicing found below the configured k ceiling."""
+    """No feasible slicing found within MAX_SLICE_SPANS spans."""
 
 
 def gamma_scale(schedule: NormalSchedule, gamma: RationalLike) -> NormalSchedule:
@@ -85,6 +83,12 @@ def gamma_scale(schedule: NormalSchedule, gamma: RationalLike) -> NormalSchedule
         completions=tuple(gamma * c for c in schedule.completions),
         work=schedule.work,
     )
+
+
+def _loaded_pairs(segments: list[LoadSegment]) -> int:
+    """The (interval, job) pairs with a positive load: a k-slicing's spans
+    are k times as many."""
+    return sum(s > 0 for _, _, loads in segments for s in loads)
 
 
 def _sliceable_segments(schedule: NormalSchedule) -> list[LoadSegment]:
@@ -114,7 +118,7 @@ def time_slice(instance: Instance, schedule: NormalSchedule, k: int) -> NaturalS
     if schedule.n != instance.n:
         raise InputError(f"schedule covers {schedule.n} jobs, instance has {instance.n}")
     segments = _sliceable_segments(schedule)
-    spans = k * sum(s > 0 for _, _, loads in segments for s in loads)
+    spans = k * _loaded_pairs(segments)
     if spans > MAX_SLICE_SPANS:
         raise InputError(
             f"k={k} would slice the schedule into {spans} spans, over the limit "
@@ -141,10 +145,10 @@ def _iterate(a: Fraction, b: Fraction, x: Fraction, r: int) -> Fraction:
 def _peak(jobs: Sequence[Job], segments: list[LoadSegment], k: int) -> Fraction:
     """Peak temperature of the k-slicing of `segments`, in closed form.
 
-    `jobs` carry threshold-free rates. In one slice of length h, a job with
-    load s > 0 idles for pre = o*h (o: the summed load of the jobs before
-    it), runs for on = s*h, then idles for post = h - pre - on, so the slice
-    maps its temperature x to F(x) = max(A, x + B) with
+    In one slice of length h, a job with load s > 0 idles for pre = o*h
+    (o: the summed load of the jobs before it), runs for on = s*h, then
+    idles for post = h - pre - on, so the slice maps its temperature x to
+    F(x) = max(A, x + B) with
     A = max(0, beta*on + alpha*post) and B = alpha*(h - on) + beta*on.
     The peak comes at the end of an on-piece, G(y) = max(0, y + alpha*pre)
     + beta*on for the slice-start temperature y; G is monotone, so it is G
@@ -177,16 +181,13 @@ def _peak(jobs: Sequence[Job], segments: list[LoadSegment], k: int) -> Fraction:
 
 
 def _sliced_peak(instance: Instance, scaled: NormalSchedule, k: int) -> Fraction:
-    """Peak temperature of `time_slice(instance, scaled, k)`, relative to
-    each job's threshold, computed without building the slices."""
-    return _peak(normalize(instance).jobs, _sliceable_segments(scaled), k)
+    """Peak temperature of `time_slice(instance, scaled, k)`, computed
+    without building the slices."""
+    return _peak(instance.jobs, _sliceable_segments(scaled), k)
 
 
 def discretize_auto(
-    instance: Instance,
-    schedule: NormalSchedule,
-    gamma: RationalLike,
-    k_ceiling: int = DEFAULT_K_CEILING,
+    instance: Instance, schedule: NormalSchedule, gamma: RationalLike
 ) -> tuple[NaturalSchedule, int, FeasibilityReport]:
     """Gamma-scale, then find the first k among 1, 2, 4, ... whose sliced
     schedule passes the feasibility check; returns that natural schedule,
@@ -197,12 +198,12 @@ def discretize_auto(
     search logs one DEBUG event to the "tempsched" logger with gamma, every
     k tried with its peak, and the accepted k.
 
-    Termination is guaranteed for feasible input and gamma > 1 because the
+    A feasible slicing exists for feasible input and gamma > 1 because the
     stretched schedule's peak temperature sits strictly below the threshold
-    and slicing error vanishes as k grows; the ceiling only guards against
-    misuse.
+    and slicing error vanishes as k grows. The search stops with
+    SliceLimitError before a k whose slicing would take more than
+    MAX_SLICE_SPANS spans, which happens when gamma is very close to 1.
     """
-    positive_int(k_ceiling, "k ceiling")
     report = check_feasibility(instance, schedule)
     if not report.feasible:
         kinds = ", ".join(sorted({v.kind for v in report.violations}))
@@ -211,13 +212,14 @@ def discretize_auto(
             "feasible starting point"
         )
     scaled = gamma_scale(schedule, gamma)
-    jobs, segments = normalize(instance).jobs, _sliceable_segments(scaled)
+    segments = _sliceable_segments(scaled)
+    pairs = max(_loaded_pairs(segments), 1)
     trials: list[tuple[int, Fraction]] = []
     accepted = None
     k = 1
     try:
-        while k <= k_ceiling:
-            peak = _peak(jobs, segments, k)
+        while k * pairs <= MAX_SLICE_SPANS:
+            peak = _peak(instance.jobs, segments, k)
             trials.append((k, peak))
             if peak <= 1:
                 candidate = time_slice(instance, scaled, k)
@@ -227,8 +229,8 @@ def discretize_auto(
                     return candidate, k, report
             k *= 2
         raise SliceLimitError(
-            f"no feasible slicing found up to k={k_ceiling}; gamma may be too "
-            "close to 1 for this ceiling"
+            f"no feasible slicing within {MAX_SLICE_SPANS} spans: k={k} would "
+            f"take {k * pairs}; gamma may be too close to 1"
         )
     finally:
         # Imported on first use, as in `solve_lp`: runs that never

@@ -42,7 +42,7 @@ class OrderDual:
 
     def __init__(self, instance: Instance, objective: Objective, y: Sequence[Fraction]):
         _check_dual(y)
-        instance, n, m = _lp_shape(instance, objective)
+        n, m = _lp_shape(instance, objective)
         self._n = n
         tri = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
         self._usable = (

@@ -28,7 +28,6 @@ from .core import (
     NormalSchedule,
     Trajectory,
     loads_from_normal,
-    normalize,
     validate_normal_schedule,
 )
 
@@ -100,7 +99,6 @@ def simulate(instance: Instance, schedule: Schedule) -> Trajectory:
     Total on any structurally valid schedule; feasibility (overheating,
     overload) is judged separately by `check_feasibility`.
     """
-    instance = normalize(instance)
     segments = _segments(instance, schedule)
     n = instance.n
     first = [_ZERO] if segments else []
@@ -176,15 +174,18 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> FeasibilityRepo
                 violations.append(Violation(job.id, t, OVERHEAT))
                 break
 
-    nseg = max(len(traj.breakpoints) - 1, 0)
-    for k in range(nseg):
-        total = sum((traj.loads[j][k] for j in range(instance.n)), Fraction(0))
-        if total > m:
-            violations.append(Violation(None, traj.breakpoints[k], MANAGEABILITY))
+    # `simulate` splits a constant-load stretch wherever some job cools to 0,
+    # so capacity is judged once per run of pieces with equal loads.
+    prev = None
+    for k, loads in enumerate(zip(*traj.loads)):
+        if loads != prev:
+            prev = loads
+            if sum(loads, _ZERO) > m:
+                violations.append(Violation(None, traj.breakpoints[k], MANAGEABILITY))
     if m > 1:
         for j, job in enumerate(instance.jobs):
-            for k in range(nseg):
-                if traj.loads[j][k] > 1:
+            for k, s in enumerate(traj.loads[j]):
+                if s > 1:
                     violations.append(Violation(job.id, traj.breakpoints[k], PER_JOB_RATE))
                     break
 

@@ -11,8 +11,10 @@ Instance files::
     {"machines": 1, "alpha": "-1/3", "beta": 1,
      "jobs": [{"id": "j1", "p": 2}, {"id": "j2", "p": 2, "beta": "1/2"}]}
 
-Per-job rates override the global ones; a per-job "threshold" marks data
-that still needs normalizing. Schedule files carry either kind::
+Per-job rates override the global ones. A per-job "threshold" t divides
+that job's rates as it is read (see `Job`), so files are written with
+rates relative to threshold 1 and no threshold. Schedule files carry
+either kind::
 
     {"kind": "natural", "intervals": {"j1": [["0", "1"], ["4", "5"]]}}
     {"kind": "normal", "order": ["j1", "j2"], "C": [...], "W": [[...]]}
@@ -61,7 +63,8 @@ def _write_json(path: Union[str, Path], data: Any) -> None:
 
 
 def parse_instance(data: Any) -> Instance:
-    """Build an Instance from decoded instance-file JSON."""
+    """Build an Instance from decoded instance-file JSON; a job's
+    "threshold", when given, is folded into its rates by `Job`."""
     if not isinstance(data, dict):
         raise InputError("instance file must contain a JSON object")
     jobs_data = data.get("jobs")
@@ -93,17 +96,10 @@ def load_instance(path: Union[str, Path]) -> Instance:
 
 
 def dump_instance(instance: Instance) -> dict:
-    jobs = []
-    for job in instance.jobs:
-        entry = {
-            "id": job.id,
-            "p": str(job.p),
-            "alpha": str(job.alpha),
-            "beta": str(job.beta),
-        }
-        if job.threshold is not None:
-            entry["threshold"] = str(job.threshold)
-        jobs.append(entry)
+    jobs = [
+        {"id": job.id, "p": str(job.p), "alpha": str(job.alpha), "beta": str(job.beta)}
+        for job in instance.jobs
+    ]
     return {"machines": instance.machines, "jobs": jobs}
 
 

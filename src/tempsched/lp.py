@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .core import Instance, InputError, NormalSchedule, SchedulingError, normalize
+from .core import Instance, InputError, NormalSchedule, SchedulingError
 
 Relation = Literal["<=", "=="]
 
@@ -203,15 +203,14 @@ def _row_cap(n: int, m: int, i: int, j: int) -> int:
     return _row_step(n, m, i, j) + n * (n + 1) // 2
 
 
-def _lp_shape(instance: Instance, objective: Objective) -> tuple[Instance, int, int]:
-    """The normalized instance, n, and the order LPs' machine count m,
-    which is 1 for one job (see `build_order_lp`)."""
-    instance = normalize(instance)
+def _lp_shape(instance: Instance, objective: Objective) -> tuple[int, int]:
+    """n and the order LPs' machine count m, which is 1 for one job (see
+    `build_order_lp`)."""
     if instance.n == 0:
         raise InputError("cannot build an LP for an instance with no jobs")
     if objective not in ("sum", "makespan"):
         raise InputError(f"unknown objective {objective!r}")
-    return instance, instance.n, instance.machines if instance.n > 1 else 1
+    return instance.n, instance.machines if instance.n > 1 else 1
 
 
 def _check_order(n: int, order: Sequence[int]) -> None:
@@ -252,7 +251,7 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
     The sum of completions is sum_i (n - i + 1) D_i, since D_i is part of
     every completion from the i-th on; the makespan is sum_i D_i.
     """
-    instance, n, m = _lp_shape(instance, objective)
+    n, m = _lp_shape(instance, objective)
     _check_order(n, order)
     jobs = [instance.jobs[k] for k in order]  # jobs[j-1] completes j-th
 

@@ -78,10 +78,10 @@ def _eliminate(row, prow, col):
 
 
 def _pivot(rows, basis, r, col):
-    """Make `col` basic in row r; returns the (sign-normalized) pivot row."""
+    """Make `col` basic in row r and return the pivot row. The ratio test
+    admits only rows with a positive entry in `col`, so the pivot entry
+    `prow[col]` is positive, as `_eliminate` needs."""
     prow = rows[r]
-    if prow[col] < 0:
-        rows[r] = prow = {j: -v for j, v in prow.items()}
     for i, row in enumerate(rows):
         if i != r and col in row:
             rows[i] = _eliminate(row, prow, col)

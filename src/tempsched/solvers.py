@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .core import Instance, InputError, Job, NormalSchedule, normalize, positive_int
+from .core import Instance, InputError, Job, NormalSchedule, positive_int
 from .lp import (
     LpSolution,
     NoScheduleError,
@@ -56,12 +56,11 @@ def solve_sum(instance: Instance) -> tuple[NormalSchedule, Fraction]:
     suffices. Refuses job-dependent rates, for which no order guarantee is
     known; use solve_sum_bruteforce there.
     """
-    instance = normalize(instance)
     if instance.n == 0:
         raise InputError("cannot solve an instance with no jobs")
     if not instance.has_common_rates():
         raise HeterogeneousRatesError(
-            "jobs have different heating/cooling rates after normalization; "
+            "jobs have different heating/cooling rates; "
             "the shortest-processing-time order is only guaranteed optimal "
             "for common rates. Use solve_sum_bruteforce (or --order=brute) "
             "to search all completion orders."
@@ -181,7 +180,6 @@ def min_makespan_single(job: Job) -> Fraction:
     exactly p. Otherwise the best schedule finishes with the temperature
     exactly at the threshold, giving p * (1 - beta/alpha) + 1/alpha.
     """
-    (job,) = normalize(Instance((job,))).jobs
     if job.beta * job.p <= 1:
         return job.p
     return job.p * (1 - job.beta / job.alpha) + 1 / job.alpha

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from tempsched import (
     check_feasibility,
     loads_from_normal,
     natural_from_intervals,
-    normalize,
 )
 
 F = Fraction
@@ -80,39 +80,49 @@ class TestJobAndInstance:
         assert Instance((a, b)).has_common_rates()
         assert not Instance((a, c)).has_common_rates()
 
+    def test_common_rates_of_threshold_twins(self):
+        a = Job("a", 1, F(-1), 1)
+        b = Job("b", 2, F(-2), 2, threshold=2)
+        c = Job("c", 2, F(-1, 3), F(1, 3), threshold=F(1, 3))
+        d = Job("d", 2, F(-1), 1, threshold=2)
+        assert Instance((a, b, c)).has_common_rates()
+        assert not Instance((a, d)).has_common_rates()
+
 
 class TestNormalize:
+    """`Job` folds a threshold t into its rates: alpha/t and beta/t, with
+    no threshold kept."""
+
     def test_scales_rates_by_threshold(self):
         job = Job("a", 2, F(-2, 3), 2, threshold=2)
-        (out,) = normalize(Instance((job,))).jobs
-        assert (out.p, out.alpha, out.beta) == (2, F(-1, 3), 1)
-        assert out.threshold is None
+        assert (job.p, job.alpha, job.beta) == (2, F(-1, 3), 1)
+        assert [f.name for f in fields(job)] == ["id", "p", "alpha", "beta"]
 
     def test_identity_without_threshold(self):
         job = Job("a", 2, F(-1, 3), 1)
-        assert normalize(Instance((job,))).jobs[0] == job
+        assert (job.alpha, job.beta) == (F(-1, 3), 1)
+        assert Job("a", 2, F(-1, 3), 1, threshold=1) == job
+        assert Job("a", "2", "-1/3", "1", threshold="1") == job
 
     def test_second_example(self):
         job = Job("a", 1, F(-1), 3, threshold=3)
-        (out,) = normalize(Instance((job,))).jobs
-        assert (out.alpha, out.beta) == (F(-1, 3), 1)
+        assert (job.alpha, job.beta) == (F(-1, 3), 1)
 
     def test_idempotent(self):
         rng = random.Random(42)
         for _ in range(25):
-            jobs = tuple(
-                Job(
-                    f"j{i}",
-                    F(rng.randint(1, 9), rng.randint(1, 4)),
-                    -F(rng.randint(1, 9), rng.randint(1, 4)),
-                    F(rng.randint(1, 9), rng.randint(1, 4)),
-                    threshold=F(rng.randint(1, 5)) if rng.random() < 0.5 else None,
-                )
-                for i in range(rng.randint(1, 4))
-            )
-            inst = Instance(jobs, machines=rng.randint(1, 3))
-            once = normalize(inst)
-            assert normalize(once) == once
+            p = F(rng.randint(1, 9), rng.randint(1, 4))
+            alpha = -F(rng.randint(1, 9), rng.randint(1, 4))
+            beta = F(rng.randint(1, 9), rng.randint(1, 4))
+            t = F(rng.randint(1, 5), rng.randint(1, 3))
+            job = Job("j", p, alpha * t, beta * t, threshold=t)
+            # threshold twins compare and hash equal
+            assert job == Job("j", p, alpha, beta)
+            assert hash(job) == hash(Job("j", p, alpha, beta))
+            # replace rebuilds from the folded rates and does not fold again
+            assert replace(job) == job
+            assert replace(job, p=p + 1) == Job("j", p + 1, alpha, beta)
+            assert replace(job, threshold=t) == Job("j", p, alpha / t, beta / t)
 
 
 class TestLoadsFromNormal:

@@ -14,6 +14,7 @@ from tempsched import (
     Job,
     NormalSchedule,
     NotSliceableError,
+    SliceLimitError,
     check_feasibility,
     discretize_auto,
     gamma_scale,
@@ -141,11 +142,16 @@ class TestDiscretizeAuto:
         with pytest.raises(InfeasibleScheduleError):
             discretize_auto(solo_instance, overheating, 2)
 
-    def test_ceiling_raises(self, twin_instance, twin_optimum):
-        from tempsched import SliceLimitError
-
-        with pytest.raises(SliceLimitError):
-            discretize_auto(twin_instance, twin_optimum, F(101, 100), k_ceiling=4)
+    def test_ceiling_raises(self, twin_instance, twin_optimum, caplog):
+        # two loaded (interval, job) pairs: the search stops at the last k
+        # within MAX_SLICE_SPANS spans, before slicing anything
+        with caplog.at_level(logging.DEBUG, logger="tempsched"):
+            with pytest.raises(SliceLimitError, match="spans"):
+                discretize_auto(twin_instance, twin_optimum, 1 + F(1, 10**12))
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("discretize_auto")]
+        trials = [int(t) for t in re.findall(r"k=(\d+) peak=", record.getMessage())]
+        assert trials == [2**i for i in range(20)]
+        assert 2 * trials[-1] <= MAX_SLICE_SPANS < 4 * trials[-1]
 
     def test_temperature_error_shrinks_with_k(self, twin_instance, twin_optimum):
         # max |T^(gamma,k) - T^gamma| at the sliced schedule's breakpoints,
@@ -252,8 +258,9 @@ class TestSliceLimit:
             time_slice(twin_instance, twin_optimum, k)
 
     def test_auto_refuses_a_slicing_over_the_limit(self, twin_instance, twin_optimum):
-        with pytest.raises(InputError, match="spans"):
-            # the closed form accepts k = 2**20 here, which would take 2**21 spans
+        with pytest.raises(SliceLimitError, match="spans"):
+            # the closed form would accept k = 2**20 here, which would take
+            # 2**21 spans; the search stops before it
             discretize_auto(twin_instance, twin_optimum, 1 + F(1, 10**6))
 
 

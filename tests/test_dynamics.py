@@ -146,6 +146,17 @@ class TestCheckFeasibility:
         report = check_feasibility(twin_instance, sched)
         assert any(v.kind == "manageability" and v.time == 1 for v in report.violations)
 
+    def test_one_overload_reported_once(self):
+        # c cools to 0 at t = 5/4, which splits the overloaded stretch [1, 3)
+        # into two trajectory pieces with the same loads
+        inst = Instance(tuple(
+            Job(i, p, F(-1), F(1, 4)) for i, p in (("a", 2), ("b", 2), ("c", 1))
+        ))
+        sched = natural_from_intervals({"c": [(0, 1)], "a": [(1, 3)], "b": [(1, 3)]})
+        report = check_feasibility(inst, sched)
+        assert F(5, 4) in report.trajectory.breakpoints
+        assert [(v.kind, v.time) for v in report.violations] == [("manageability", 1)]
+
     def test_rate_cap_on_two_machines(self):
         inst = Instance((Job("a", F(3, 2), F(-1, 10), F(1, 10)),), machines=2)
         sched = NormalSchedule((0,), (F(1),), ((F(3, 2),),))

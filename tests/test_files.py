@@ -39,8 +39,8 @@ class TestInstanceFiles:
         assert inst.machines == 2
         assert inst.jobs[0].alpha == F(-1, 3)
         assert inst.jobs[0].beta == 1
-        assert inst.jobs[1].beta == F(1, 2)
-        assert inst.jobs[1].threshold == 2
+        # job b's threshold 2 is folded into the global alpha and its own beta
+        assert (inst.jobs[1].alpha, inst.jobs[1].beta) == (F(-1, 6), F(1, 4))
 
     def test_machines_default_one(self):
         inst = parse_instance({"alpha": "-1", "beta": "1", "jobs": [{"id": "a", "p": 1}]})

@@ -17,7 +17,6 @@ from tempsched import (
     NoScheduleError,
     build_order_lp,
     check_feasibility,
-    discretize_auto,
     extract_schedule,
     min_makespan_over_orders,
     min_makespan_single,
@@ -316,11 +315,10 @@ class TestManyMachines:
     "call",
     [
         lambda inst, sched, v: time_slice(inst, sched, v),
-        lambda inst, sched, v: discretize_auto(inst, sched, 2, k_ceiling=v),
         lambda inst, sched, v: solve_sum_bruteforce(inst, cap=v),
         lambda inst, sched, v: min_makespan_over_orders(inst, cap=v),
     ],
-    ids=["time_slice-k", "discretize_auto-k_ceiling", "bruteforce-cap", "over_orders-cap"],
+    ids=["time_slice-k", "bruteforce-cap", "over_orders-cap"],
 )
 def test_count_arguments_must_be_positive_ints(call, bad, twin_instance, twin_optimum):
     # bool is an int subclass: True would slice with k=1, and a float cap

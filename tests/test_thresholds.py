@@ -1,7 +1,7 @@
 """A job with threshold t and rates t*alpha, t*beta is the job with
-threshold 1 and rates alpha, beta. The library folds thresholds in only
-where it reads the rates, so every public entry must give exactly the same
-result on an instance and on its threshold-scaled twin."""
+threshold 1 and rates alpha, beta. `Job` folds the threshold into the
+rates when it is made, so a threshold-scaled twin equals its instance, and
+every public entry must give exactly the same result on both."""
 
 import random
 from fractions import Fraction
@@ -28,12 +28,15 @@ F = Fraction
 THRESHOLDS = (F(1), F(2), F(1, 3), F(7, 5))
 
 
-def _scaled_twin(instance: Instance, rng: random.Random) -> Instance:
-    jobs = []
+def _scaled_twin(instance: Instance, rng: random.Random) -> tuple[Instance, int]:
+    """The twin with each job's rates and threshold scaled by a drawn t, and
+    how many of the drawn t differ from 1."""
+    jobs, scaled = [], 0
     for job in instance.jobs:
         t = rng.choice(THRESHOLDS)
+        scaled += t != 1
         jobs.append(Job(job.id, job.p, job.alpha * t, job.beta * t, threshold=t))
-    return Instance(tuple(jobs), instance.machines)
+    return Instance(tuple(jobs), instance.machines), scaled
 
 
 def test_scaled_twins_agree_at_every_entry():
@@ -43,8 +46,9 @@ def test_scaled_twins_agree_at_every_entry():
         n = rng.randint(1, 3)
         m = rng.choice((1, 2))
         base = random_instance(rng, n, m, common_rates=rng.random() < 0.5)
-        twin = _scaled_twin(base, rng)
-        scaled_jobs += sum(job.threshold != 1 for job in twin.jobs)
+        twin, scaled = _scaled_twin(base, rng)
+        scaled_jobs += scaled
+        assert twin == base
         order = tuple(rng.sample(range(n), n))
         for objective in ("sum", "makespan"):
             assert build_order_lp(twin, order, objective) == build_order_lp(base, order, objective)
