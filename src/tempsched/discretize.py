@@ -49,7 +49,7 @@ from .dynamics import FeasibilityReport, check_feasibility
 # the spans: 2**16 spans took 8.9 s and 73 MB on one core of a 2-CPU x86
 # box, so this limit allows about 2.5 minutes and 1.2 GB. `time_slice`
 # refuses a larger slicing with InputError, and `discretize_auto` stops its
-# search before one with SliceLimitError.
+# search before one with SliceLimitError, a subclass of InputError.
 MAX_SLICE_SPANS = 2**20
 
 _ZERO = Fraction(0)
@@ -63,8 +63,9 @@ class NotSliceableError(SchedulingError):
     """An interval loads more than one machine's worth of work in total."""
 
 
-class SliceLimitError(SchedulingError):
-    """No feasible slicing found within MAX_SLICE_SPANS spans."""
+class SliceLimitError(InputError):
+    """No feasible slicing found within MAX_SLICE_SPANS spans. An InputError,
+    as `time_slice`'s refusal of the same limit is."""
 
 
 def gamma_scale(schedule: NormalSchedule, gamma: RationalLike) -> NormalSchedule:

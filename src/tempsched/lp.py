@@ -60,11 +60,18 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Minimize objective . x subject to constraints and x >= 0."""
+    """Minimize objective . x subject to constraints and x >= 0.
+
+    `start` optionally names a starting basis as (row, column) pairs, each
+    column to be made basic in its row; the solver checks it exactly and
+    falls back to its own start where it is singular, incomplete or
+    infeasible.
+    """
 
     variables: tuple[str, ...]
     objective: tuple[Fraction, ...]
     constraints: tuple[Constraint, ...]
+    start: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         if len(self.objective) != len(self.variables):
@@ -78,6 +85,10 @@ class LpProblem:
                 raise InputError(f"{con.name}: a coefficient names no variable")
             if not (_exact(con.rhs) and all(_exact(c) for _, c in con.coeffs)):
                 raise InputError(f"{con.name}: coefficients and right-hand side must be ints or Fractions")
+        for k, size in enumerate((len(self.constraints), len(self.variables))):
+            named = {e[k] for e in self.start if isinstance(e, tuple) and len(e) == 2}
+            if len(named) < len(self.start) or not all(type(i) is int and 0 <= i < size for i in named):
+                raise InputError("start must pair distinct rows with distinct columns, all in range")
 
     def _check_point(self, x: Sequence[Fraction]) -> None:
         if len(x) != len(self.variables):
@@ -250,6 +261,16 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
 
     The sum of completions is sum_i (n - i + 1) D_i, since D_i is part of
     every completion from the i-th on; the makespan is sum_i D_i.
+
+    The LP names a feasible starting basis, `LpProblem.start`: w_j_j in
+    done_j (j >= 2) and D_i in temp_step_i_i. It is the schedule that runs
+    each job alone in its own interval, at the load that keeps its
+    temperature at 0: every T and every w_i_j with i < j is 0, w_j_j = p_j,
+    and D_i = p_i (1 - beta_i/alpha_i) makes temp_step_i_i tight. That D_i
+    is at least p_i (alpha < 0 < beta), so manage_i and rate_i_i hold, and
+    so does every row left at its own slack or surplus. manage_1 and
+    rate_1_1, whose constant w_1_1 gives them a negative right-hand side,
+    keep their surplus.
     """
     n, m = _lp_shape(instance, objective)
     _check_order(n, order)
@@ -296,7 +317,9 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
     for i in range(1, n + 1):
         obj[_col_d(i)] = Fraction(n - i + 1) if objective == "sum" else one
 
-    return LpProblem(tuple(names), tuple(obj), tuple(cons))
+    start = [(_row_done(j), _col_w(n, j, j)) for j in range(2, n + 1)]
+    start += [(_row_step(n, m, i, i), _col_d(i)) for i in range(1, n + 1)]
+    return LpProblem(tuple(names), tuple(obj), tuple(cons), tuple(start))
 
 
 def constraint_count(n: int, machines: int) -> int:
@@ -321,16 +344,29 @@ def extract_schedule(
     columns = _col_t(n, n, n) + 1
     if len(x) != columns:
         raise InputError(f"solution has {len(x)} values, the order LP has {columns} columns")
-    t = Fraction(0)
-    done = [Fraction(0)] * n  # cumulative work, by instance index
+    # A kept schedule holds one Fraction per distinct value: equal sums share
+    # one object, a job's work ends at its own p, and a zero step adds none.
+    t = zero = Fraction(0)
+    values = {zero: zero}
+
+    def share(v: Fraction) -> Fraction:
+        return values.setdefault(v, v)
+
+    done = [zero] * n  # cumulative work, by instance index
     completions, work, temps = [], [], []
     for i in range(1, n + 1):
-        t += x[_col_d(i)]
+        if x[_col_d(i)]:
+            t = share(t + x[_col_d(i)])
         completions.append(t)
-        temp = [Fraction(0)] * n
+        temp = [zero] * n
         for j, k in enumerate(order, 1):
-            if i <= j:
-                done[k] += instance.jobs[k].p if i == j == 1 else x[_col_w(n, i, j)]
+            if i < j and x[_col_w(n, i, j)]:
+                done[k] = share(done[k] + x[_col_w(n, i, j)])
+            elif i == j:
+                p = instance.jobs[k].p
+                if j > 1 and done[k] + x[_col_w(n, j, j)] != p:
+                    raise NoScheduleError(f"the solution does not complete job {k}'s work")
+                done[k] = share(p)
             temp[k] = x[_col_t(n, min(i, j), j)]
         work.append(tuple(done))
         temps.append(temp)

@@ -16,6 +16,16 @@ positive phase-1 reduced cost banned too (Chvátal 1983, ch. 8): those are 0
 on every feasible point, and while they stay 0 so does every artificial
 still basic, so phase 2 needs no row dropped and no pivot out.
 
+A problem may name a start basis (`LpProblem.start`; every order LP names
+one, see `lp.build_order_lp`). Its columns are pivoted in first, then each
+`>=` row whose artificial is still basic takes its surplus instead. If that
+basis has no artificial and no negative right-hand side, both exact tests,
+it is primal feasible: phase 1 is skipped, and phase 2 starts there with
+every artificial banned and nonbasic, so the duals are read as below. A
+zero pivot entry, an artificial left basic (an equality row no named
+column holds) or a negative value refuses the basis, and the solve then
+starts from the slack basis as if none had been named.
+
 Pivoting is fraction-free (after Edmonds 1967 and Bareiss 1968): each
 tableau row is a sparse map from column to nonzero Python `int`, holding
 the rational row times a positive factor. That factor is the row's
@@ -37,8 +47,9 @@ value 0 and positive on those columns, are then added in until none is
 negative, so `y` is always dual feasible (`lp.dual_bound` checks it).
 
 `solve_lp` logs one DEBUG event per call to the `tempsched` logger: the
-tableau's rows and columns, the pivots of each phase and how many of them
-Bland's rule picked.
+tableau's rows and columns, whether a start basis was used, refused or
+not named, the pivots of each phase and how many of them Bland's rule
+picked.
 """
 
 from __future__ import annotations
@@ -185,6 +196,31 @@ def _run_simplex(rows, cost, basis, rhs_col, banned, counts):
     )
 
 
+def _start(rows, basis, pivots, art0, rhs_col):
+    """The tableau and basis after pivoting each (row, column) of `pivots`
+    in, or None where that basis is singular, keeps an artificial or is
+    infeasible.
+
+    A pair pivots only while its row still holds its first basic column, so
+    a row's trailing (row, surplus) pair swaps out an artificial that no
+    named column replaced. A row is negated first where its pivot entry is
+    negative, since `_eliminate` needs a positive one; every test is exact.
+    """
+    rows, basis, first = list(rows), list(basis), list(basis)
+    for r, col in pivots:
+        if basis[r] != first[r]:
+            continue
+        a = rows[r].get(col, 0)
+        if not a:
+            return None
+        if a < 0:
+            rows[r] = {j: -v for j, v in rows[r].items()}
+        _pivot(rows, basis, r, col)
+    if any(b >= art0 for b in basis) or any(row.get(rhs_col, 0) < 0 for row in rows):
+        return None
+    return rows, basis
+
+
 def _scaled_ints(values):
     """Nonzero integers proportional (by a positive factor) to the given rationals."""
     scale = lcm(*(v.denominator for v in values.values()))
@@ -245,8 +281,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     rows = []
     basis = []
     slack_idx = nstruct
-    art_idx = nstruct + nslack
+    art0 = art_idx = nstruct + nslack
     art_cols = []
+    surplus = []
     for coeffs, rel, rhs in specs:
         row = {**coeffs, rhs_col: rhs}
         if rel != "==":
@@ -255,6 +292,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         if rel == "<=":
             basis.append(slack_idx - 1)
         else:
+            if rel == ">=":
+                surplus.append((len(rows), slack_idx - 1))
             row[art_idx] = 1
             basis.append(art_idx)
             art_cols.append(art_idx)
@@ -262,12 +301,15 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         rows.append(_scaled_ints(row))
     starts = list(basis)
 
+    started = problem.start and _start(rows, basis, problem.start + tuple(surplus), art0, rhs_col)
+    if started:
+        rows, basis = started
     # An artificial that leaves the basis never re-enters.
     banned = set(art_cols)
     phase1, phase2 = [0, 0], [0, 0]
     status = "optimal"
     cost1 = None
-    if art_cols:
+    if art_cols and not started:
         cost = _reduced_costs({a: 1 for a in art_cols} | {scale_col: 1}, rows, basis)
         status, cost1 = _run_simplex(rows, cost, basis, rhs_col, banned, phase1)
         if status != "optimal" or cost1.get(rhs_col, 0) < 0:
@@ -284,8 +326,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     import logging
 
     logging.getLogger("tempsched").debug(
-        "solve_lp %s: %d rows, %d columns, pivots phase 1 %d, phase 2 %d, Bland %d",
-        status, len(specs), rhs_col, phase1[0], phase2[0], phase1[1] + phase2[1],
+        "solve_lp %s: %d rows, %d columns, start basis %s, pivots phase 1 %d, phase 2 %d, Bland %d",
+        status, len(specs), rhs_col, "used" if started else "refused" if problem.start else "none",
+        phase1[0], phase2[0], phase1[1] + phase2[1],
     )
     if status != "optimal":
         return LpSolution(status, None, ())
@@ -294,7 +337,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     for row, b in zip(rows, basis):
         if b < nstruct:
             x[b] = Fraction(row.get(rhs_col, 0), row[b])
-    art0 = nstruct + nslack
     y = _prices(cost, starts, art0, scale_col, 0)
     # A banned column may end phase 2 with a negative reduced cost. Phase 1's
     # prices have value 0 and a positive reduced cost on every banned column,

@@ -263,6 +263,14 @@ class TestSliceLimit:
             # 2**21 spans; the search stops before it
             discretize_auto(twin_instance, twin_optimum, 1 + F(1, 10**6))
 
+    def test_one_exception_type_for_the_limit(self, twin_instance, twin_optimum):
+        # time_slice and discretize_auto refuse the one limit alike
+        assert issubclass(SliceLimitError, InputError)
+        for refuse in (lambda: time_slice(twin_instance, twin_optimum, MAX_SLICE_SPANS),
+                       lambda: discretize_auto(twin_instance, twin_optimum, 1 + F(1, 10**6))):
+            with pytest.raises(InputError, match="spans"):
+                refuse()
+
 
 class TestDiscretizeLogging:
     def test_debug_event_lists_the_trials(self, twin_instance, twin_optimum, caplog):

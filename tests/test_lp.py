@@ -175,6 +175,16 @@ class TestLpProblem:
         prob = LpProblem(("x",), (1,), (Constraint("c", ((0, -1),), "<=", -2),))
         assert solve_lp(prob).value == 2
 
+    @pytest.mark.parametrize("start", [
+        ((2, 0),), ((0, 2),), ((-1, 0),), ((0, -1),), ((0, 0), (0, 1)), ((0, 0), (1, 0)),
+        ((F(0), 1),), ((True, 1),), ((0,),), ((0, 1, 1),), (1,),
+    ], ids=repr)
+    def test_bad_start_rejected(self, start):
+        cons = (Constraint("a", ((0, F(1)),), "<=", F(1)), Constraint("b", ((1, F(1)),), "<=", F(1)))
+        LpProblem(("x", "y"), (F(1), F(1)), cons, ((1, 0), (0, 1)))
+        with pytest.raises(InputError, match="start"):
+            LpProblem(("x", "y"), (F(1), F(1)), cons, start)
+
     def test_point_of_the_wrong_length_rejected(self):
         prob = LpProblem(("x", "y"), (F(1), F(1)), (Constraint("c", ((1, F(1)),), "<=", F(1)),))
         with pytest.raises(InputError):
@@ -305,6 +315,43 @@ class TestSolveGoldenLp:
         short = LpSolution("optimal", sol.value, sol.x[:-1])
         with pytest.raises(InputError):
             extract_schedule(twin_instance, (0, 1), short)
+
+    def test_extract_keeps_one_fraction_per_value(self, twin_instance):
+        prob = build_order_lp(twin_instance, (1, 0), "sum")
+        sol = solve_lp(prob)
+        sched = extract_schedule(twin_instance, (1, 0), sol)
+        kept = [v for row in sched.work for v in row] + list(sched.completions)
+        assert len({id(v) for v in kept}) == len(set(kept))
+        assert sched.work[0][1] is twin_instance.jobs[1].p
+        x = list(sol.x)
+        x[prob.variables.index("w_2_2")] += 1
+        with pytest.raises(NoScheduleError, match="job 0"):
+            extract_schedule(twin_instance, (1, 0), LpSolution("optimal", sol.value, tuple(x)))
+
+
+class TestStartBasis:
+    def test_order_lp_starts_one_job_at_a_time(self):
+        # The named basis is the schedule that runs each job alone, at the
+        # load that keeps it at temperature 0; that point is feasible.
+        rng = random.Random(1998)
+        for n in range(1, 6):
+            for machines in (1, 2, 3):
+                for common in (True, False):
+                    inst = random_instance(rng, n, machines, common_rates=common)
+                    order = rng.sample(range(n), n)
+                    prob = build_order_lp(inst, order, "sum")
+                    x = [F(0)] * len(prob.variables)
+                    named = {}
+                    for j, k in enumerate(order, 1):
+                        job = inst.jobs[k]
+                        x[lp._col_d(j)] = job.p * (1 - job.beta / job.alpha)
+                        named[f"temp_step_{j}_{j}"] = f"D_{j}"
+                        if j > 1:
+                            x[lp._col_w(n, j, j)] = job.p
+                            named[f"done_{j}"] = f"w_{j}_{j}"
+                    assert prob.violated_constraints(x) == []
+                    assert {prob.constraints[r].name: prob.variables[c]
+                            for r, c in prob.start} == named
 
 
 class TestLpProperties:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import random
@@ -321,11 +322,11 @@ class TestPricing:
             solve_lp(_lp(("x",), (F(1),), [Constraint("eq", ((0, F(1)),), "==", F(-2))]))
         records = [r for r in caplog.records if r.name == "tempsched"]
         assert [r.levelno for r in records] == [logging.DEBUG] * 2
-        status, rows, columns, phase1, phase2, bland = records[0].args
-        assert (status, rows, columns, phase1) == ("optimal", 3, 7, 0)
+        status, rows, columns, start, phase1, phase2, bland = records[0].args
+        assert (status, rows, columns, start, phase1) == ("optimal", 3, 7, "none", 0)
         assert phase2 == len(pivots) and 0 < bland <= phase2
         assert "Bland" in records[0].getMessage()
-        assert records[1].args[:4] == ("infeasible", 1, 2, 0)
+        assert records[1].args[:5] == ("infeasible", 1, 2, "none", 0)
 
 
 def _seeded_order_lps(per_instance):
@@ -393,3 +394,62 @@ class TestDualCertificate:
                     mutants += 1
             assert dual_bound(prob, tuple(2 * v for v in sol.y)) != sol.value
         assert mutants > 100
+
+
+def _solve_logged(prob, caplog):
+    """The solution and the (start, phase-1 pivots) of its one DEBUG event."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="tempsched"):
+        sol = solve_lp(prob)
+    (event,) = [r for r in caplog.records if r.getMessage().startswith("solve_lp")]
+    return sol, event.args[3:5]
+
+
+class TestStartBasis:
+    """A named start basis skips phase 1 where it is feasible, and changes
+    nothing where it is refused."""
+
+    def test_order_lps_skip_phase_one(self, caplog):
+        rng = random.Random(1992)
+        count = 0
+        for n in range(1, 9):
+            for machines in (1, 2, 3):
+                for common in (True, False):
+                    inst = random_instance(rng, n, machines, common_rates=common)
+                    order = rng.sample(range(n), n)
+                    for objective in ("sum", "makespan"):
+                        prob = build_order_lp(inst, order, objective)
+                        sol, event = _solve_logged(prob, caplog)
+                        assert event == ("used", 0)
+                        assert sol.value == solve_lp(dataclasses.replace(prob, start=())).value
+                        assert dual_bound(prob, sol.y) == sol.value
+                        assert prob.violated_constraints(sol.x) == []
+                        count += 1
+        assert count == 8 * 3 * 2 * 2
+
+    # min x - y s.t. x + y <= 4, y <= 5, x + y == 3 (rows 0, 1, 2)
+    HAND = _lp(("x", "y"), (F(1), F(-1)), [
+        Constraint("cap", ((0, F(1)), (1, F(1))), "<=", F(4)),
+        Constraint("ymax", ((1, F(1)),), "<=", F(5)),
+        Constraint("sum", ((0, F(1)), (1, F(1))), "==", F(3)),
+    ])
+
+    @pytest.mark.parametrize("start", [
+        ((1, 0), (2, 1)),  # ymax holds no x: a zero pivot entry
+        ((1, 1), (2, 0)),  # y = 5 leaves x = -2 in the sum row: infeasible
+        ((0, 0),),  # the equality row keeps its artificial
+    ], ids=["zero-pivot", "infeasible", "equality-unnamed"])
+    def test_refused_start_changes_nothing(self, caplog, start):
+        plain, event = _solve_logged(self.HAND, caplog)
+        assert event[0] == "none"
+        hinted, event = _solve_logged(dataclasses.replace(self.HAND, start=start), caplog)
+        assert event[0] == "refused"
+        assert hinted == plain
+        assert (plain.value, plain.x) == (-3, (F(0), F(3)))
+
+    def test_feasible_start_on_a_hand_lp(self, caplog):
+        # y = 3 in the sum row, x = 0: both `<=` rows keep their slack
+        sol, event = _solve_logged(dataclasses.replace(self.HAND, start=((2, 1),)), caplog)
+        assert event == ("used", 0)
+        assert (sol.value, sol.x) == (-3, (F(0), F(3)))
+        assert sol.y == solve_lp(self.HAND).y

@@ -17,6 +17,7 @@ from tempsched import (
     NoScheduleError,
     build_order_lp,
     check_feasibility,
+    dual_bound,
     extract_schedule,
     min_makespan_over_orders,
     min_makespan_single,
@@ -205,6 +206,36 @@ class TestOracleProperties:
     @given(_instances(common_rates=False))
     def test_closed_form_makespan_equals_order_lp_minimum(self, inst):
         assert solve_makespan(inst)[0] == min_makespan_over_orders(inst)[0]
+
+
+def _certified(inst, order, objective, schedule, value):
+    """`value` is a certified optimum of `order`'s LP, and `schedule` is
+    feasible and reaches it."""
+    prob = build_order_lp(inst, order, objective)
+    assert dual_bound(prob, solve_lp(prob).y) == value
+    assert check_feasibility(inst, schedule).feasible
+    reached = schedule.completions[-1] if objective == "makespan" else sum(schedule.completions)
+    assert reached == value
+
+
+class TestCertifiedOptima:
+    """Every optimum the solvers return is certified on its order LP by
+    `dual_bound`, which shares no code with the simplex."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(_instances(common_rates=True))
+    def test_spt_sum(self, inst):
+        schedule, value = solve_sum(inst)
+        _certified(inst, schedule.order, "sum", schedule, value)
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(_instances(common_rates=False))
+    def test_brute_force_sum_and_makespan(self, inst):
+        schedule, value, order = solve_sum_bruteforce(inst)
+        _certified(inst, order, "sum", schedule, value)
+        makespan, order = min_makespan_over_orders(inst)
+        schedule = extract_schedule(inst, order, solve_lp(build_order_lp(inst, order, "makespan")))
+        _certified(inst, order, "makespan", schedule, makespan)
 
 
 class TestNonOptimalOrderLp:
