@@ -52,7 +52,6 @@ from .lp import (
     constraint_count,
     dual_bound,
     extract_schedule,
-    lp_text,
 )
 from .plot import emit_csv, emit_svg
 from .simplex import solve_lp
@@ -105,7 +104,6 @@ __all__ = [
     "load_instance",
     "load_schedule",
     "loads_from_normal",
-    "lp_text",
     "min_makespan_over_orders",
     "min_makespan_single",
     "natural_from_intervals",

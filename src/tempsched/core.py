@@ -67,6 +67,15 @@ def as_rational(value: RationalLike, what: str = "value") -> Fraction:
     raise InputError(f"{what}: unsupported type {type(value).__name__}")
 
 
+def debug(fmt: str, *args) -> None:
+    """Log a DEBUG event to the "tempsched" logger. `logging` is imported
+    here, on first use: at module level it would add about a tenth to the
+    time of `import tempsched`, which runs that log nothing pay too."""
+    import logging
+
+    logging.getLogger("tempsched").debug(fmt, *args)
+
+
 def positive_int(value: int, what: str) -> None:
     """Raise InputError unless `value` is an int, not a bool, of at least 1."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -155,7 +164,8 @@ class NormalSchedule:
     `completions[i]` is that completion time; `work[i][j]` is the cumulative
     work done on instance job j by `completions[i]`. `temperatures`, when
     present, is the matching feasibility witness from the LP (an upper bound
-    on the true temperatures at the completion breakpoints).
+    on the true temperatures at the completion breakpoints). Every number
+    goes through `as_rational`, so floats and bools are refused.
     """
 
     order: tuple[int, ...]
@@ -164,18 +174,23 @@ class NormalSchedule:
     temperatures: tuple[tuple[Fraction, ...], ...] | None = None
 
     def __post_init__(self):
+        def matrix(rows, what):
+            return tuple(tuple(as_rational(v, what) for v in row) for row in rows)
+
         object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "completions", tuple(self.completions))
-        object.__setattr__(self, "work", tuple(tuple(row) for row in self.work))
+        object.__setattr__(self, "completions",
+                           tuple(as_rational(c, "completion time") for c in self.completions))
+        object.__setattr__(self, "work", matrix(self.work, "work"))
         if self.temperatures is not None:
-            object.__setattr__(
-                self, "temperatures", tuple(tuple(row) for row in self.temperatures)
-            )
+            object.__setattr__(self, "temperatures", matrix(self.temperatures, "temperature"))
         n = len(self.order)
-        if sorted(self.order) != list(range(n)):
+        if not all(type(k) is int for k in self.order) or sorted(self.order) != list(range(n)):
             raise InputError(f"order must be a permutation of 0..{n - 1}")
         if len(self.completions) != n or len(self.work) != n:
             raise InputError("completions and work must have one entry per job")
+        if self.temperatures is not None and (
+                len(self.temperatures) != n or any(len(row) != n for row in self.temperatures)):
+            raise InputError("temperature witness must be n x n")
         prev = Fraction(0)
         for c in self.completions:
             if c < prev:

@@ -38,6 +38,7 @@ from .core import (
     RationalLike,
     SchedulingError,
     as_rational,
+    debug,
     loads_from_normal,
     natural_from_intervals,
     positive_int,
@@ -181,12 +182,6 @@ def _peak(jobs: Sequence[Job], segments: list[LoadSegment], k: int) -> Fraction:
     return peak
 
 
-def _sliced_peak(instance: Instance, scaled: NormalSchedule, k: int) -> Fraction:
-    """Peak temperature of `time_slice(instance, scaled, k)`, computed
-    without building the slices."""
-    return _peak(instance.jobs, _sliceable_segments(scaled), k)
-
-
 def discretize_auto(
     instance: Instance, schedule: NormalSchedule, gamma: RationalLike
 ) -> tuple[NaturalSchedule, int, FeasibilityReport]:
@@ -234,11 +229,7 @@ def discretize_auto(
             f"take {k * pairs}; gamma may be too close to 1"
         )
     finally:
-        # Imported on first use, as in `solve_lp`: runs that never
-        # discretize do not pay for importing `logging`.
-        import logging
-
-        logging.getLogger("tempsched").debug(
+        debug(
             "discretize_auto gamma %s: trials %s; accepted k %s",
             gamma, ", ".join(f"k={t} peak={p}" for t, p in trials), accepted,
         )

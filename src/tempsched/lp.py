@@ -15,11 +15,11 @@ first completion. A job does no work after it completes, and it only
 cools, so only w_i_j and T_i_j with i <= j are variables of the LP;
 `extract_schedule` reads T_i_j for i > j as T_j_j.
 
-A point `x` of an LP holds one value per column. `_col_d`, `_col_w` and
-`_col_t` lay out the order LP's columns for both `build_order_lp` and
-`extract_schedule`, and the `_row_*` helpers its rows for both
-`build_order_lp` and `duals.OrderDual`; the names in `LpProblem.variables` and
-`Constraint.name` serve only `lp_text` and `violated_constraints`.
+An LP speaks indices only: a point `x` holds one value per column, and
+rows and columns are known by position. `_col_d`, `_col_w` and `_col_t` lay
+out the order LP's columns for both `build_order_lp` and `extract_schedule`,
+and the `_row_*` helpers its rows for both `build_order_lp` and
+`duals.OrderDual`. Names such as D_i or done_j appear only in the docs.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ def _exact(value) -> bool:
 
 @dataclass(frozen=True)
 class Constraint:
-    """Sparse linear constraint: sum(coeff * var) <relation> rhs."""
+    """Sparse linear constraint: sum(coeff * x[column]) <relation> rhs."""
 
-    name: str
     coeffs: tuple[tuple[int, Fraction], ...]
     relation: Relation
     rhs: Fraction
@@ -60,7 +59,8 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Minimize objective . x subject to constraints and x >= 0.
+    """Minimize objective . x subject to constraints and x >= 0; there is
+    one column per objective entry.
 
     `start` optionally names a starting basis as (row, column) pairs, each
     column to be made basic in its row; the solver checks it exactly and
@@ -68,43 +68,41 @@ class LpProblem:
     infeasible.
     """
 
-    variables: tuple[str, ...]
     objective: tuple[Fraction, ...]
     constraints: tuple[Constraint, ...]
     start: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if len(self.objective) != len(self.variables):
-            raise InputError("objective length must match variable count")
+        columns = len(self.objective)
         if not all(map(_exact, self.objective)):
             raise InputError("objective entries must be ints or Fractions")
-        for con in self.constraints:
+        for r, con in enumerate(self.constraints):
             if con.relation not in ("<=", "=="):
-                raise InputError(f"{con.name}: relation must be <= or ==, got {con.relation!r}")
-            if any(not 0 <= i < len(self.variables) for i, _ in con.coeffs):
-                raise InputError(f"{con.name}: a coefficient names no variable")
+                raise InputError(f"row {r}: relation must be <= or ==, got {con.relation!r}")
+            if any(not 0 <= i < columns for i, _ in con.coeffs):
+                raise InputError(f"row {r}: a coefficient names no column")
             if not (_exact(con.rhs) and all(_exact(c) for _, c in con.coeffs)):
-                raise InputError(f"{con.name}: coefficients and right-hand side must be ints or Fractions")
-        for k, size in enumerate((len(self.constraints), len(self.variables))):
+                raise InputError(f"row {r}: coefficients and right-hand side must be ints or Fractions")
+        for k, size in enumerate((len(self.constraints), columns)):
             named = {e[k] for e in self.start if isinstance(e, tuple) and len(e) == 2}
             if len(named) < len(self.start) or not all(type(i) is int and 0 <= i < size for i in named):
                 raise InputError("start must pair distinct rows with distinct columns, all in range")
 
     def _check_point(self, x: Sequence[Fraction]) -> None:
-        if len(x) != len(self.variables):
-            raise InputError(f"point has {len(x)} values, the problem has {len(self.variables)} columns")
+        if len(x) != len(self.objective):
+            raise InputError(f"point has {len(x)} values, the problem has {len(self.objective)} columns")
 
-    def violated_constraints(self, x: Sequence[Fraction]) -> list[str]:
-        """Names of constraints (or nonnegativity bounds) the point `x`, one
-        value per column, breaks; empty list means the point is feasible."""
+    def violated_constraints(self, x: Sequence[Fraction]) -> list[int]:
+        """What the point `x`, one value per column, breaks: the index of each
+        row it violates, then `len(constraints) + c` for each column c with
+        `x[c] < 0`. An empty list means the point is feasible."""
         self._check_point(x)
-        bad = [f"nonneg({v})" for v, xi in zip(self.variables, x) if xi < 0]
-        for con in self.constraints:
+        bad = []
+        for r, con in enumerate(self.constraints):
             lhs = sum((c * x[i] for i, c in con.coeffs), Fraction(0))
-            ok = lhs <= con.rhs if con.relation == "<=" else lhs == con.rhs
-            if not ok:
-                bad.append(con.name)
-        return bad
+            if not (lhs <= con.rhs if con.relation == "<=" else lhs == con.rhs):
+                bad.append(r)
+        return bad + [len(self.constraints) + c for c, xi in enumerate(x) if xi < 0]
 
     def objective_value(self, x: Sequence[Fraction]) -> Fraction:
         self._check_point(x)
@@ -114,8 +112,8 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpSolution:
     """A solver's verdict. `x` is the optimal vertex, one value per column
-    in the order of `LpProblem.variables`; it is empty unless the status
-    is "optimal".
+    (per entry of `LpProblem.objective`); it is empty unless the status is
+    "optimal".
 
     `y` holds the optimal duals, one per constraint in the constraint's own
     orientation: `y_i <= 0` on a `<=` row, any sign on a `==` row, and
@@ -276,9 +274,6 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
     _check_order(n, order)
     jobs = [instance.jobs[k] for k in order]  # jobs[j-1] completes j-th
 
-    names: list[str] = [f"D_{i}" for i in range(1, n + 1)]
-    names += [f"w_{i}_{j}" for i in range(1, n + 1) for j in range(max(i, 2), n + 1)]
-    names += [f"T_{i}_{j}" for i in range(1, n + 1) for j in range(i, n + 1)]
     zero, one = Fraction(0), Fraction(1)
 
     def w(i: int, j: int, coeff: Fraction) -> tuple[int | None, Fraction]:
@@ -288,38 +283,37 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
 
     cons: list[Constraint | None] = [None] * constraint_count(n, m)
 
-    def emit(row: int, name: str, terms, relation: Relation = "<=", rhs: Fraction = zero) -> None:
+    def emit(row: int, terms, relation: Relation = "<=", rhs: Fraction = zero) -> None:
         coeffs = []
         for col, c in terms:
             if col is None:
                 rhs -= c
             else:
                 coeffs.append((col, c))
-        cons[row] = Constraint(name, tuple(coeffs), relation, rhs)
+        cons[row] = Constraint(tuple(coeffs), relation, rhs)
 
     for j in range(2, n + 1):
-        emit(_row_done(j), f"done_{j}", [w(i, j, one) for i in range(1, j + 1)], "==",
-             jobs[j - 1].p)
+        emit(_row_done(j), [w(i, j, one) for i in range(1, j + 1)], "==", jobs[j - 1].p)
     for i in range(1, n + 1):
-        emit(_row_manage(n, i), f"manage_{i}",
+        emit(_row_manage(n, i),
              [w(i, j, one) for j in range(i, n + 1)] + [(_col_d(i), Fraction(-m))])
         for j in range(i, n + 1):
             if m > 1:
-                emit(_row_rate(n, i, j), f"rate_{i}_{j}", (w(i, j, one), (_col_d(i), -one)))
+                emit(_row_rate(n, i, j), (w(i, j, one), (_col_d(i), -one)))
             a, b = jobs[j - 1].alpha, jobs[j - 1].beta
             terms = [(_col_d(i), a), w(i, j, b - a), (_col_t(n, i, j), -one)]
             if i > 1:
                 terms.append((_col_t(n, i - 1, j), one))
-            emit(_row_step(n, m, i, j), f"temp_step_{i}_{j}", terms)
-            emit(_row_cap(n, m, i, j), f"temp_cap_{i}_{j}", ((_col_t(n, i, j), one),), rhs=one)
+            emit(_row_step(n, m, i, j), terms)
+            emit(_row_cap(n, m, i, j), ((_col_t(n, i, j), one),), rhs=one)
 
-    obj = [zero] * len(names)
+    obj = [zero] * (_col_t(n, n, n) + 1)
     for i in range(1, n + 1):
         obj[_col_d(i)] = Fraction(n - i + 1) if objective == "sum" else one
 
     start = [(_row_done(j), _col_w(n, j, j)) for j in range(2, n + 1)]
     start += [(_row_step(n, m, i, i), _col_d(i)) for i in range(1, n + 1)]
-    return LpProblem(tuple(names), tuple(obj), tuple(cons), tuple(start))
+    return LpProblem(tuple(obj), tuple(cons), tuple(start))
 
 
 def constraint_count(n: int, machines: int) -> int:
@@ -371,35 +365,3 @@ def extract_schedule(
         work.append(tuple(done))
         temps.append(temp)
     return NormalSchedule(tuple(order), tuple(completions), tuple(work), tuple(temps))
-
-
-def lp_text(problem: LpProblem) -> str:
-    """Render the problem in an LP-style text format for eyeballing.
-
-    Coefficients stay exact ("4/3 W_1_1"), which standard LP parsers will
-    not accept; this output is a debugging aid, not an interchange format.
-    """
-
-    def term(coeff: Fraction, name: str, first: bool) -> str:
-        sign = "-" if coeff < 0 else ("" if first else "+")
-        mag = abs(coeff)
-        body = name if mag == 1 else f"{mag} {name}"
-        return f"{sign} {body}" if not first else f"{sign}{body}"
-
-    lines = ["Minimize", " obj: " + " ".join(
-        term(c, v, i == 0)
-        for i, (v, c) in enumerate(
-            (v, c) for v, c in zip(problem.variables, problem.objective) if c != 0
-        )
-    )]
-    lines.append("Subject To")
-    for con in problem.constraints:
-        rel = "<=" if con.relation == "<=" else "="
-        body = " ".join(
-            term(c, problem.variables[i], k == 0) for k, (i, c) in enumerate(con.coeffs)
-        )
-        lines.append(f" {con.name}: {body} {rel} {con.rhs}")
-    lines.append("Bounds")
-    lines.append("\\ all variables >= 0 (default)")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -57,6 +57,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, lcm
 
+from .core import debug
 from .lp import LpProblem, LpSolution, PivotLimitError
 
 _MAX_PIVOTS = 1_000_000
@@ -259,7 +260,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     one per constraint, or a solution object whose status reports
     infeasibility/unboundedness.
     """
-    nstruct = len(problem.variables)
+    nstruct = len(problem.objective)
 
     # Column layout: structural vars, one slack/surplus per inequality,
     # then artificials; the RHS sits in column `rhs_col`, after all of them.
@@ -321,11 +322,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if status == "optimal":
         cost = _reduced_costs(dict(enumerate(problem.objective)) | {scale_col: 1}, rows, basis)
         status, cost = _run_simplex(rows, cost, basis, rhs_col, banned, phase2)
-    # Imported on first use: at the top, `logging` would add about a tenth
-    # to the time of `import tempsched`, which runs that need no LP pay too.
-    import logging
-
-    logging.getLogger("tempsched").debug(
+    debug(
         "solve_lp %s: %d rows, %d columns, start basis %s, pivots phase 1 %d, phase 2 %d, Bland %d",
         status, len(specs), rhs_col, "used" if started else "refused" if problem.start else "none",
         phase1[0], phase2[0], phase1[1] + phase2[1],

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .core import Instance, InputError, Job, NormalSchedule, positive_int
+from .core import Instance, InputError, Job, NormalSchedule, debug, positive_int
 from .lp import (
     LpSolution,
     NoScheduleError,
@@ -127,12 +127,7 @@ def _best_order(
             solved += 1
         if best is None or solution.value < best[1]:
             best = (perm, solution.value, solution)
-    import logging  # on first use, as in solve_lp
-
-    logging.getLogger("tempsched").debug(
-        "best order (%s): %d orders, %d LPs solved, %d pruned",
-        objective, orders, solved, pruned,
-    )
+    debug("best order (%s): %d orders, %d LPs solved, %d pruned", objective, orders, solved, pruned)
     return best
 
 

@@ -11,11 +11,80 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from tempsched import (
-    Instance, LpProblem, NormalSchedule, build_order_lp, dual_bound, simulate, solve_lp,
+    Instance, Job, LpProblem, NormalSchedule, build_order_lp, dual_bound,
+    natural_from_intervals, simulate, solve_lp,
 )
 
 F = Fraction
+
+
+def small_rationals(lo, hi, den=4):
+    """Rationals in [lo, hi] with denominators up to `den`."""
+    return st.builds(F, st.integers(lo * den, hi * den), st.integers(1, den)).filter(
+        lambda x: lo <= x <= hi
+    )
+
+
+def _drawn_jobs(draw, works):
+    """Jobs j0, j1, ... with the given processing times and drawn rates and
+    thresholds; cooling can be much faster than heating."""
+    return tuple(
+        Job(
+            f"j{j}",
+            p,
+            -draw(small_rationals(1, 8)),
+            draw(small_rationals(1, 4)),
+            draw(st.sampled_from([None, F(1, 2), F(1), F(3, 2), F(2), F(3)])),
+        )
+        for j, p in enumerate(works)
+    )
+
+
+@st.composite
+def normal_cases(draw):
+    """An instance and a normal schedule with per-interval total load at most
+    1. Rates and thresholds vary per job; a job's p is the work the drawn
+    loads give it."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(n)))
+    lengths = [draw(small_rationals(1, 6)) for _ in range(n)]
+    position = {j: pos for pos, j in enumerate(order)}
+    loads = []
+    for i in range(n):
+        weights = [
+            draw(st.integers(1 if position[j] == i else 0, 4)) if position[j] >= i else 0
+            for j in range(n)
+        ]
+        total = draw(st.sampled_from([F(1, 4), F(1, 2), F(3, 4), F(9, 10), F(1)]))
+        loads.append([total * w / sum(weights) for w in weights])
+    work, completions, done, t = [], [], [F(0)] * n, F(0)
+    for length, row in zip(lengths, loads):
+        t += length
+        done = [d + s * length for d, s in zip(done, row)]
+        completions.append(t)
+        work.append(tuple(done))
+    instance = Instance(_drawn_jobs(draw, done), machines=draw(st.sampled_from([1, 2])))
+    return instance, NormalSchedule(order, completions, work)
+
+
+@st.composite
+def natural_cases(draw):
+    """An instance and a natural schedule: each job gets up to three drawn
+    spans (touching ones merge), with denominators such as 113, and may be
+    left idle or unfinished."""
+    n = draw(st.integers(1, 3))
+    times = st.builds(F, st.integers(0, 40), st.sampled_from([1, 2, 7, 113]))
+    spans = {}
+    for j in range(n):
+        pieces = [sorted(draw(st.tuples(times, times).filter(lambda ab: ab[0] != ab[1])))
+                  for _ in range(draw(st.integers(0, 3)))]
+        if pieces:
+            spans[f"j{j}"] = pieces
+    instance = Instance(_drawn_jobs(draw, [F(1)] * n))
+    return instance, natural_from_intervals(spans)
 
 
 def vertex_minimum(problem: LpProblem):
@@ -26,7 +95,7 @@ def vertex_minimum(problem: LpProblem):
     objective over all vertices (which equals the LP optimum whenever the
     problem is bounded).
     """
-    nvars = len(problem.variables)
+    nvars = len(problem.objective)
     n_ineq = sum(1 for c in problem.constraints if c.relation == "<=")
     total = nvars + n_ineq
     rows = []
@@ -117,7 +186,7 @@ def random_small_lp(rng: random.Random) -> LpProblem:
     nvars = rng.randint(1, 4)
     nrows = rng.randint(1, 4)
     cons = []
-    for r in range(nrows):
+    for _ in range(nrows):
         coeffs = []
         for v in range(nvars):
             c = rng.randint(-3, 3)
@@ -127,10 +196,9 @@ def random_small_lp(rng: random.Random) -> LpProblem:
             coeffs.append((rng.randrange(nvars), F(1)))
         rel = "==" if rng.random() < 0.3 else "<="
         rhs = F(rng.randint(-2, 6))
-        cons.append(Constraint(f"r{r}", tuple(coeffs), rel, rhs))
+        cons.append(Constraint(tuple(coeffs), rel, rhs))
     objective = tuple(F(rng.randint(0, 4)) for _ in range(nvars))
-    names = tuple(f"x{i}" for i in range(nvars))
-    return LpProblem(names, objective, tuple(cons))
+    return LpProblem(objective, tuple(cons))
 
 
 def sequential_full_speed(instance: Instance, order) -> NormalSchedule:
@@ -171,13 +239,35 @@ def work_at(traj, j: int, t: Fraction) -> Fraction:
     return w0 + (w1 - w0) * (t - t0) / (t1 - t0)
 
 
-def lemma_assignment(
-    instance: Instance, schedule: NormalSchedule, variables: tuple[str, ...]
-) -> tuple[Fraction, ...]:
+def lp_columns(n: int) -> tuple[str, ...]:
+    """The order LP's columns by name, in the layout its docstring gives:
+    D_i, then w_i_j for i <= j without w_1_1, then T_i_j for i <= j, each
+    row by row. Written out here so that tests can name a column without
+    going through `tempsched.lp`."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    return (tuple(f"D_{i}" for i in range(1, n + 1))
+            + tuple(f"w_{i}_{j}" for i, j in pairs if j > 1)
+            + tuple(f"T_{i}_{j}" for i, j in pairs))
+
+
+def lp_rows(n: int, machines: int) -> tuple[str, ...]:
+    """The order LP's rows by name, in the layout its docstring gives: done_j
+    (j >= 2), manage_i, rate_i_j (only with more than one machine and job),
+    temp_step_i_j and temp_cap_i_j, each row by row over i <= j."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    rates = machines > 1 and n > 1
+    return (tuple(f"done_{j}" for j in range(2, n + 1))
+            + tuple(f"manage_{i}" for i in range(1, n + 1))
+            + tuple(f"rate_{i}_{j}" for i, j in pairs if rates)
+            + tuple(f"temp_step_{i}_{j}" for i, j in pairs)
+            + tuple(f"temp_cap_{i}_{j}" for i, j in pairs))
+
+
+def lemma_assignment(instance: Instance, schedule: NormalSchedule) -> tuple[Fraction, ...]:
     """Map a normal schedule plus its simulated breakpoint temperatures onto
-    the order-LP's variables (positions re-indexed along schedule.order),
-    as a point with one value per name in `variables`: interval lengths
-    D_i, per-interval work w_i_j and temperatures T_i_j.
+    the order-LP's columns (positions re-indexed along schedule.order), as a
+    point with one value per name in `lp_columns(n)`: interval lengths D_i,
+    per-interval work w_i_j and temperatures T_i_j.
 
     The simulated temperatures are the pointwise-minimal witness satisfying
     the temperature recursion, so the LP constraint set accepts the result
@@ -196,7 +286,7 @@ def lemma_assignment(
             before = schedule.work[i - 1][job_index] if i else F(0)
             values[f"w_{i + 1}_{j + 1}"] = schedule.work[i][job_index] - before
             values[f"T_{i + 1}_{j + 1}"] = traj.temperatures[job_index][k]
-    return tuple(values[v] for v in variables)
+    return tuple(values[v] for v in lp_columns(n))
 
 
 def certified(solve):

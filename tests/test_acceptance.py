@@ -128,7 +128,7 @@ def test_criterion_5_lemma_round_trip():
         sched = extract_schedule(inst, order, solution)
         report = check_feasibility(inst, sched)
         assert report.feasible, f"extracted schedule infeasible on {inst}"
-        assignment = lemma_assignment(inst, sched, problem.variables)
+        assignment = lemma_assignment(inst, sched)
         violated = problem.violated_constraints(assignment)
         assert violated == [], f"constraints {violated} rejected a feasible schedule"
         feasible_checked += 1
@@ -161,7 +161,7 @@ def test_criterion_5_lemma_round_trip():
         report = check_feasibility(inst, bad)
         assert not report.feasible
         problem = build_order_lp(inst, bad.order, "sum")
-        violated = problem.violated_constraints(lemma_assignment(inst, bad, problem.variables))
+        violated = problem.violated_constraints(lemma_assignment(inst, bad))
         assert violated, "simulator saw a violation but the constraint set did not"
         broken_checked += 1
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -386,3 +390,15 @@ class TestUsage:
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+
+def test_cli_import_stays_lean():
+    # Starting the CLI loads neither `logging` (imported on first DEBUG
+    # event), `duals` (brute force only) nor numpy or scipy (never).
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, tempsched.cli; print(sorted(m for m in sys.modules if m in "
+            "('logging', 'tempsched.duals', 'numpy', 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

@@ -206,6 +206,34 @@ class TestNormalScheduleInvariants:
         with pytest.raises(InputError):  # work decreases
             NormalSchedule((0, 1), (F(1), F(2)), ((F(1), F(2)), (F(1), F(1))))
 
+    @pytest.mark.parametrize("args", [
+        ((0,), (0.1 + 0.2,), ((F(3, 10),),)),
+        ((0,), (F(3, 10),), ((0.3,),)),
+        ((0,), (F(1),), ((True,),)),
+        ((0,), (F(1),), ((F(1),),), ((0.5,),)),
+        ((0,), (F(1),), ((F(1),),), ((False,),)),
+        ((0.0,), (F(1),), ((F(1),),)),
+        (("a", 0), (F(1), F(1)), ((F(1), F(1)),) * 2),
+    ], ids=["float-completion", "float-work", "bool-work", "float-witness", "bool-witness",
+            "float-order", "str-order"])
+    def test_inexact_numbers_rejected(self, args):
+        # a float completion once loaded, and check_feasibility then called
+        # the job missing: its work never reached p exactly
+        with pytest.raises(InputError):
+            NormalSchedule(*args)
+
+    @pytest.mark.parametrize("temps", [((F(0),),), ((F(0), F(0)), (F(0),)), ((F(0),) * 2,) * 3])
+    def test_witness_of_the_wrong_shape_rejected(self, temps):
+        with pytest.raises(InputError, match="temperature witness"):
+            NormalSchedule((0, 1), (F(1), F(2)), ((F(1), F(0)), (F(1), F(1))), temps)
+
+    def test_entries_become_fractions_and_fractions_stay_themselves(self):
+        p = F(3, 10)
+        sched = NormalSchedule([0], [1], [[p]], [["1/2"]])
+        assert sched.completions == (F(1),) and type(sched.completions[0]) is F
+        assert sched.work[0][0] is p
+        assert sched.temperatures == ((F(1, 2),),)
+
     def test_round_trip_work_reconstruction(self):
         rng = random.Random(7)
         for _ in range(40):

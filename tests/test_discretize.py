@@ -22,10 +22,10 @@ from tempsched import (
     simulate,
     time_slice,
 )
-from tempsched.discretize import MAX_SLICE_SPANS, _sliced_peak
+from tempsched.discretize import MAX_SLICE_SPANS, _peak, _sliceable_segments
 from tempsched.generate import random_instance
 
-from .helpers import sequential_full_speed, work_at
+from .helpers import normal_cases, sequential_full_speed, work_at
 
 F = Fraction
 
@@ -185,49 +185,12 @@ class TestDiscretizeAuto:
         assert prev_err < F(1, 8)
 
 
-def _small_rational(lo, hi, den=4):
-    """Rationals in [lo, hi] with denominators up to `den`."""
-    return st.builds(F, st.integers(lo * den, hi * den), st.integers(1, den)).filter(
-        lambda x: lo <= x <= hi
-    )
-
-
 @st.composite
 def sliceable_cases(draw):
     """An instance, a normal schedule with per-interval total load at most 1
-    and a slice count. Rates and thresholds vary per job, and cooling can be
-    much faster than heating, so a job can reach 0 before and after its
-    on-piece in the same slice. A job's p is the work the drawn loads give it."""
-    n = draw(st.integers(1, 3))
-    order = draw(st.permutations(range(n)))
-    lengths = [draw(_small_rational(1, 6)) for _ in range(n)]
-    position = {j: pos for pos, j in enumerate(order)}
-    loads = []
-    for i in range(n):
-        weights = [
-            draw(st.integers(1 if position[j] == i else 0, 4)) if position[j] >= i else 0
-            for j in range(n)
-        ]
-        total = draw(st.sampled_from([F(1, 4), F(1, 2), F(3, 4), F(9, 10), F(1)]))
-        loads.append([total * w / sum(weights) for w in weights])
-    work, completions, done, t = [], [], [F(0)] * n, F(0)
-    for length, row in zip(lengths, loads):
-        t += length
-        done = [d + s * length for d, s in zip(done, row)]
-        completions.append(t)
-        work.append(tuple(done))
-    jobs = tuple(
-        Job(
-            f"j{j}",
-            done[j],
-            -draw(_small_rational(1, 8)),
-            draw(_small_rational(1, 4)),
-            draw(st.sampled_from([None, F(1, 2), F(1), F(3, 2), F(2), F(3)])),
-        )
-        for j in range(n)
-    )
-    instance = Instance(jobs, machines=draw(st.sampled_from([1, 2])))
-    return instance, NormalSchedule(order, completions, work), draw(st.integers(1, 24))
+    and a slice count. Cooling can be much faster than heating, so a job can
+    reach 0 before and after its on-piece in the same slice."""
+    return (*draw(normal_cases()), draw(st.integers(1, 24)))
 
 
 # The twin instance stretched by 101/100: k = 32 overheats, k = 64 does not.
@@ -245,7 +208,7 @@ class TestSlicedPeak:
     def test_closed_form_agrees_with_the_simulator(self, case):
         instance, schedule, k = case
         report = check_feasibility(instance, time_slice(instance, schedule, k))
-        peak = _sliced_peak(instance, schedule, k)
+        peak = _peak(instance.jobs, _sliceable_segments(schedule), k)
         assert (peak > 1) == (not report.feasible)
         assert peak == max(t for row in report.trajectory.temperatures for t in row)
 

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempsched import (
     Instance,
@@ -13,6 +16,8 @@ from tempsched import (
     natural_from_intervals,
     simulate,
 )
+
+from .helpers import natural_cases, normal_cases
 
 F = Fraction
 
@@ -235,6 +240,24 @@ class TestTrajectoryInvariants:
                 )
                 final = traj.works[j][-1] if traj.breakpoints else F(0)
                 assert final == total
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(natural_cases(), normal_cases()))
+    def test_simulation_conserves_work(self, case):
+        # each job's work never falls, and ends at the sum of load x length
+        # over the segments: its spans' total length, or its p
+        inst, sched = case
+        traj = simulate(inst, sched)
+        widths = [b - a for a, b in itertools.pairwise(traj.breakpoints)]
+        for j, job in enumerate(inst.jobs):
+            works = traj.works[j]
+            assert all(a <= b for a, b in itertools.pairwise(works))
+            final = works[-1] if works else F(0)
+            assert final == sum((s * w for s, w in zip(traj.loads[j], widths)), F(0))
+            if isinstance(sched, NormalSchedule):
+                assert final == job.p
+            else:
+                assert final == sum((b - a for a, b in sched.for_job(job.id)), F(0))
 
     def test_time_shift_invariance(self):
         rng = random.Random(5)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempsched import (
     InputError,
@@ -21,6 +23,8 @@ from tempsched import (
     save_schedule,
 )
 from tempsched.generate import random_instance
+
+from .helpers import natural_cases, normal_cases
 
 F = Fraction
 
@@ -110,6 +114,19 @@ class TestScheduleFiles:
         save_schedule(path, sched, twin_instance)
         again = load_schedule(path, twin_instance)
         assert again == sched
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(natural_cases(), normal_cases()), st.booleans(), st.data())
+    def test_round_trip_is_bit_faithful(self, case, witness, data):
+        inst, sched = case
+        if witness and isinstance(sched, NormalSchedule):
+            temps = st.builds(F, st.integers(0, 400), st.sampled_from([1, 3, 113, 10**30]))
+            n = sched.n
+            sched = NormalSchedule(sched.order, sched.completions, sched.work,
+                                   data.draw(st.lists(st.lists(temps, min_size=n, max_size=n),
+                                                      min_size=n, max_size=n)))
+        text = json.dumps(dump_schedule(sched, inst))
+        assert parse_schedule(json.loads(text), inst) == sched
 
     def test_normal_file_columns_follow_order(self, twin_instance):
         sched = NormalSchedule(

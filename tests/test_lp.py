@@ -20,14 +20,13 @@ from tempsched import (
     loads_from_normal,
     lp,
     LpProblem,
-    lp_text,
     min_makespan_single,
     solve_lp,
 )
 from tempsched.duals import OrderDual
 from tempsched.generate import random_instance
 
-from .helpers import certified
+from .helpers import certified, lp_columns, lp_rows
 
 F = Fraction
 
@@ -40,16 +39,26 @@ def _every_optimum_certified(monkeypatch):
 
 class TestBuildOrderLp:
     def test_golden_two_job_lp(self, twin_instance):
+        # Columns 0..6: D_1, D_2, w_1_2, w_2_2, T_1_1, T_1_2, T_2_2. Rows 0..8:
+        # done_2, manage_1, manage_2, temp_step_1_1, temp_step_1_2,
+        # temp_step_2_2, temp_cap_1_1, temp_cap_1_2, temp_cap_2_2. Both jobs
+        # have p = 2, alpha = -1/3 and beta = 1, so beta - alpha = 4/3.
         prob = build_order_lp(twin_instance, (0, 1), "sum")
         assert len(prob.constraints) == constraint_count(2, 1) == 9
-        assert prob.variables == ("D_1", "D_2", "w_1_2", "w_2_2", "T_1_1", "T_1_2", "T_2_2")
-        by_name = {c.name: c for c in prob.constraints}
-        start = by_name["temp_step_1_1"]
-        coeffs = {prob.variables[i]: c for i, c in start.coeffs}
-        # w_1_1 = p_1 = 2 is a constant: its 4/3 * 2 moves to the right-hand side
-        assert coeffs == {"D_1": F(-1, 3), "T_1_1": F(-1)}
-        assert start.rhs == F(-8, 3)
-        assert by_name["temp_cap_2_2"].rhs == 1
+        assert prob.objective == (2, 1, 0, 0, 0, 0, 0)
+        assert prob.constraints == (
+            Constraint(((2, 1), (3, 1)), "==", 2),
+            # w_1_1 = p_1 = 2 is a constant: it moves to the right-hand side
+            Constraint(((2, 1), (0, -1)), "<=", -2),
+            Constraint(((3, 1), (1, -1)), "<=", 0),
+            Constraint(((0, F(-1, 3)), (4, -1)), "<=", F(-8, 3)),
+            Constraint(((0, F(-1, 3)), (2, F(4, 3)), (5, -1)), "<=", 0),
+            Constraint(((1, F(-1, 3)), (3, F(4, 3)), (6, -1), (5, 1)), "<=", 0),
+            Constraint(((4, 1),), "<=", 1),
+            Constraint(((5, 1),), "<=", 1),
+            Constraint(((6, 1),), "<=", 1),
+        )
+        assert prob.start == ((0, 3), (3, 0), (5, 1))
 
     def test_single_easy_job_completes_at_p(self):
         inst = Instance((Job("a", 1, F(-1), 1),))
@@ -65,18 +74,25 @@ class TestBuildOrderLp:
                 for objective in ("sum", "makespan"):
                     prob = build_order_lp(inst, tuple(range(n)), objective)
                     assert len(prob.constraints) == constraint_count(n, m)
-                    assert len(prob.variables) == n * n + 2 * n - 1
+                    assert len(prob.objective) == n * n + 2 * n - 1
 
-    def test_column_functions_lay_out_the_named_columns(self):
-        # extract_schedule reads columns through these, lp_text through names
+    def test_row_and_column_helpers_tile_the_lp(self):
+        # build_order_lp, extract_schedule and OrderDual all lay out the LP
+        # through these: each must give every index exactly once
         for n in range(1, 7):
-            inst = Instance(tuple(Job(f"j{k}", 1, F(-1), 1) for k in range(n)))
-            names = build_order_lp(inst, tuple(range(n)), "sum").variables
-            at = {lp._col_d(i): f"D_{i}" for i in range(1, n + 1)}
-            for i in range(1, n + 1):
-                at.update({lp._col_w(n, i, j): f"w_{i}_{j}" for j in range(max(i, 2), n + 1)})
-                at.update({lp._col_t(n, i, j): f"T_{i}_{j}" for j in range(i, n + 1)})
-            assert [at[col] for col in range(len(names))] == list(names)
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+            cols = [lp._col_d(i) for i in range(1, n + 1)]
+            cols += [lp._col_w(n, i, j) for i, j in pairs if j > 1]
+            cols += [lp._col_t(n, i, j) for i, j in pairs]
+            assert sorted(cols) == list(range(n * n + 2 * n - 1))
+            for m in range(1, 4):
+                m_lp = m if n > 1 else 1
+                rows = [lp._row_done(j) for j in range(2, n + 1)]
+                rows += [lp._row_manage(n, i) for i in range(1, n + 1)]
+                rows += [lp._row_rate(n, i, j) for i, j in pairs if m_lp > 1]
+                rows += [lp._row_step(n, m_lp, i, j) for i, j in pairs]
+                rows += [lp._row_cap(n, m_lp, i, j) for i, j in pairs]
+                assert sorted(rows) == list(range(constraint_count(n, m)))
 
     def test_emitted_rows_need_no_presolve(self):
         # no empty row, no variable pinned by a one-variable equality, no
@@ -88,16 +104,16 @@ class TestBuildOrderLp:
                 for objective in ("sum", "makespan"):
                     prob = build_order_lp(inst, tuple(rng.sample(range(n), n)), objective)
                     seen = set()
-                    for con in prob.constraints:
+                    for r, con in enumerate(prob.constraints):
                         coeffs = sorted((i, c) for i, c in con.coeffs if c != 0)
-                        assert coeffs, con.name
-                        assert not (con.relation == "==" and len(coeffs) == 1), con.name
+                        assert coeffs, r
+                        assert not (con.relation == "==" and len(coeffs) == 1), r
                         scale = abs(coeffs[0][1])
                         key = (con.relation, tuple((i, c / scale) for i, c in coeffs))
-                        assert key not in seen, con.name
+                        assert key not in seen, r
                         seen.add(key)
                     used = {i for con in prob.constraints for i, c in con.coeffs if c != 0}
-                    assert used == set(range(len(prob.variables)))
+                    assert used == set(range(len(prob.objective)))
 
     def test_increments_leave_few_rows_needing_an_artificial(self):
         # only done_j (equalities) and the rows holding the constant w_1_1
@@ -108,12 +124,13 @@ class TestBuildOrderLp:
             for m in (1, 2):
                 inst = random_instance(rng, n, m, common_rates=False)
                 prob = build_order_lp(inst, tuple(rng.sample(range(n), n)), "sum")
-                needy = [c.name for c in prob.constraints if c.relation == "==" or c.rhs < 0]
-                assert len(needy) == n + (2 if m > 1 and n > 1 else 1), needy
-                assert not any(
-                    c.name.startswith(("order_", "work_monotone_")) for c in prob.constraints
-                )
-                assert not any(v.startswith(("C_", "W_")) for v in prob.variables)
+                names = lp_rows(n, m)
+                needy = {names[r] for r, c in enumerate(prob.constraints)
+                         if c.relation == "==" or c.rhs < 0}
+                expected = {f"done_{j}" for j in range(2, n + 1)} | {"manage_1", "temp_step_1_1"}
+                if m > 1 and n > 1:
+                    expected.add("rate_1_1")
+                assert needy == expected
 
     def test_objective_weights_give_completions(self):
         # the sum objective weighs D_i by the n - i + 1 completions it delays
@@ -138,41 +155,39 @@ class TestBuildOrderLp:
 
     def test_makespan_objective_targets_last_completion(self, twin_instance):
         prob = build_order_lp(twin_instance, (0, 1), "makespan")
-        nonzero = {
-            prob.variables[i]: c for i, c in enumerate(prob.objective) if c != 0
-        }
-        assert nonzero == {"D_1": F(1), "D_2": F(1)}
+        assert prob.objective == (1, 1, 0, 0, 0, 0, 0)  # D_1 + D_2
 
 
 class TestLpProblem:
     def test_unknown_relation_rejected(self):
         # solve_lp reads any relation other than "<=" as "=="
         with pytest.raises(InputError):
-            LpProblem(("x",), (F(1),), (Constraint("c", ((0, F(1)),), ">=", F(-2)),))
+            LpProblem((F(1),), (Constraint(((0, F(1)),), ">=", F(-2)),))
 
     def test_coefficient_outside_the_columns_rejected(self):
         # solve_lp would give the stray index its own column
-        with pytest.raises(InputError):
-            LpProblem(("x", "y"), (F(1), F(1)), (Constraint("c", ((3, F(1)),), "<=", F(-4)),))
-        with pytest.raises(InputError):
-            LpProblem(("x",), (F(1),), (Constraint("c", ((-1, F(1)),), "<=", F(1)),))
+        ok = Constraint(((0, F(1)),), "<=", F(1))
+        with pytest.raises(InputError, match="row 1"):
+            LpProblem((F(1), F(1)), (ok, Constraint(((3, F(1)),), "<=", F(-4))))
+        with pytest.raises(InputError, match="row 0"):
+            LpProblem((F(1),), (Constraint(((-1, F(1)),), "<=", F(1)),))
 
     def test_inexact_numbers_rejected(self):
         # solve_lp would fail on a float's missing denominator, and read True as 1
         with pytest.raises(InputError):
-            LpProblem(("x",), (F(1),), (Constraint("c", ((0, 0.5),), "<=", F(-2)),))
+            LpProblem((F(1),), (Constraint(((0, 0.5),), "<=", F(-2)),))
         with pytest.raises(InputError):
-            LpProblem(("x",), (F(1),), (Constraint("c", ((0, F(1)),), "<=", 2.0),))
+            LpProblem((F(1),), (Constraint(((0, F(1)),), "<=", 2.0),))
         with pytest.raises(InputError):
-            LpProblem(("x",), (F(1),), (Constraint("c", ((0, True),), "<=", F(2)),))
+            LpProblem((F(1),), (Constraint(((0, True),), "<=", F(2)),))
 
     def test_inexact_objective_rejected(self):
         for entry in (1.5, "1", False):
             with pytest.raises(InputError):
-                LpProblem(("x",), (entry,), ())
+                LpProblem((entry,), ())
 
     def test_ints_accepted(self):
-        prob = LpProblem(("x",), (1,), (Constraint("c", ((0, -1),), "<=", -2),))
+        prob = LpProblem((1,), (Constraint(((0, -1),), "<=", -2),))
         assert solve_lp(prob).value == 2
 
     @pytest.mark.parametrize("start", [
@@ -180,13 +195,25 @@ class TestLpProblem:
         ((F(0), 1),), ((True, 1),), ((0,),), ((0, 1, 1),), (1,),
     ], ids=repr)
     def test_bad_start_rejected(self, start):
-        cons = (Constraint("a", ((0, F(1)),), "<=", F(1)), Constraint("b", ((1, F(1)),), "<=", F(1)))
-        LpProblem(("x", "y"), (F(1), F(1)), cons, ((1, 0), (0, 1)))
+        cons = (Constraint(((0, F(1)),), "<=", F(1)), Constraint(((1, F(1)),), "<=", F(1)))
+        LpProblem((F(1), F(1)), cons, ((1, 0), (0, 1)))
         with pytest.raises(InputError, match="start"):
-            LpProblem(("x", "y"), (F(1), F(1)), cons, start)
+            LpProblem((F(1), F(1)), cons, start)
+
+    def test_violations_list_rows_then_negative_columns(self):
+        # min x + y s.t. -x <= -1 (row 0), x + y <= 2 (row 1), y == 1 (row 2)
+        prob = LpProblem((F(1), F(1)), (
+            Constraint(((0, F(-1)),), "<=", F(-1)),
+            Constraint(((0, F(1)), (1, F(1))), "<=", F(2)),
+            Constraint(((1, F(1)),), "==", F(1)),
+        ))
+        assert prob.violated_constraints((F(1), F(1))) == []
+        assert prob.violated_constraints((F(2), F(1))) == [1]
+        assert prob.violated_constraints((F(-1), F(0))) == [0, 2, 3 + 0]
+        assert prob.violated_constraints((F(3), F(-1))) == [2, 3 + 1]
 
     def test_point_of_the_wrong_length_rejected(self):
-        prob = LpProblem(("x", "y"), (F(1), F(1)), (Constraint("c", ((1, F(1)),), "<=", F(1)),))
+        prob = LpProblem((F(1), F(1)), (Constraint(((1, F(1)),), "<=", F(1)),))
         with pytest.raises(InputError):
             prob.violated_constraints((F(0),))
         with pytest.raises(InputError):
@@ -196,9 +223,9 @@ class TestLpProblem:
 class TestDualBound:
     # min x + 2y s.t. x + y >= 3 (as a `<=` row) and y == 1: the optimum is 4,
     # at x = 2, and the optimal dual is (-1, 1).
-    PROB = LpProblem(("x", "y"), (F(1), F(2)), (
-        Constraint("cover", ((0, F(-1)), (1, F(-1))), "<=", F(-3)),
-        Constraint("fix", ((1, F(1)),), "==", F(1)),
+    PROB = LpProblem((F(1), F(2)), (
+        Constraint(((0, F(-1)), (1, F(-1))), "<=", F(-3)),
+        Constraint(((1, F(1)),), "==", F(1)),
     ))
 
     def test_optimal_dual_certifies_the_optimum(self):
@@ -221,7 +248,7 @@ class TestDualBound:
     def test_inexact_entries_raise(self):
         # min x s.t. -x <= -3: a float a hair off the dual -1 would round to
         # the optimum 3 and "certify" it
-        prob = LpProblem(("x",), (F(1),), (Constraint("low", ((0, F(-1)),), "<=", F(-3)),))
+        prob = LpProblem((F(1),), (Constraint(((0, F(-1)),), "<=", F(-3)),))
         assert dual_bound(prob, (-1,)) == 3
         for y in ((-0.9999999999999999999,), (False,), ("x",)):
             with pytest.raises(InputError, match="ints or Fractions"):
@@ -284,8 +311,7 @@ class TestSolveGoldenLp:
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         assert sol.value == 10
-        x = dict(zip(prob.variables, sol.x))
-        assert (x["D_1"], x["D_2"]) == (5, 0)
+        assert sol.x[:2] == (5, 0)  # D_1 and D_2
 
     def test_extracted_schedule_loads(self, twin_instance):
         sol = solve_lp(build_order_lp(twin_instance, (0, 1), "sum"))
@@ -298,8 +324,10 @@ class TestSolveGoldenLp:
         sol = solve_lp(prob)
         assert prob.violated_constraints(sol.x) == []
         broken = list(sol.x)
-        broken[prob.variables.index("w_1_2")] = F(99)
-        assert "done_2" in prob.violated_constraints(broken)
+        broken[lp_columns(2).index("w_1_2")] = F(99)
+        rows = lp_rows(2, 1)
+        assert [rows[r] for r in prob.violated_constraints(broken)] == [
+            "done_2", "manage_1", "temp_step_1_2"]
 
     def test_extract_requires_optimal(self, twin_instance):
         with pytest.raises(NoScheduleError):
@@ -324,7 +352,7 @@ class TestSolveGoldenLp:
         assert len({id(v) for v in kept}) == len(set(kept))
         assert sched.work[0][1] is twin_instance.jobs[1].p
         x = list(sol.x)
-        x[prob.variables.index("w_2_2")] += 1
+        x[lp_columns(2).index("w_2_2")] += 1
         with pytest.raises(NoScheduleError, match="job 0"):
             extract_schedule(twin_instance, (1, 0), LpSolution("optimal", sol.value, tuple(x)))
 
@@ -340,18 +368,18 @@ class TestStartBasis:
                     inst = random_instance(rng, n, machines, common_rates=common)
                     order = rng.sample(range(n), n)
                     prob = build_order_lp(inst, order, "sum")
-                    x = [F(0)] * len(prob.variables)
+                    cols, rows = lp_columns(n), lp_rows(n, machines)
+                    x = [F(0)] * len(cols)
                     named = {}
                     for j, k in enumerate(order, 1):
                         job = inst.jobs[k]
-                        x[lp._col_d(j)] = job.p * (1 - job.beta / job.alpha)
+                        x[cols.index(f"D_{j}")] = job.p * (1 - job.beta / job.alpha)
                         named[f"temp_step_{j}_{j}"] = f"D_{j}"
                         if j > 1:
-                            x[lp._col_w(n, j, j)] = job.p
+                            x[cols.index(f"w_{j}_{j}")] = job.p
                             named[f"done_{j}"] = f"w_{j}_{j}"
                     assert prob.violated_constraints(x) == []
-                    assert {prob.constraints[r].name: prob.variables[c]
-                            for r, c in prob.start} == named
+                    assert {rows[r]: cols[c] for r, c in prob.start} == named
 
 
 class TestLpProperties:
@@ -441,15 +469,3 @@ class TestLpProperties:
             p_sum = sum((j.p for j in inst.jobs), F(0))
             assert sol.value >= q_max
             assert sol.value >= p_sum
-
-
-class TestLpText:
-    def test_export_mentions_everything(self, twin_instance):
-        prob = build_order_lp(twin_instance, (0, 1), "sum")
-        text = lp_text(prob)
-        assert text.startswith("Minimize")
-        assert "obj: 2 D_1 + D_2" in text
-        assert "done_2: w_1_2 + w_2_2 = 2" in text
-        assert "temp_step_1_1: -1/3 D_1 - T_1_1 <= -8/3" in text
-        assert "temp_step_1_2: -1/3 D_1 + 4/3 w_1_2 - T_1_2 <= 0" in text
-        assert text.rstrip().endswith("End")

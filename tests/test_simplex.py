@@ -30,8 +30,8 @@ def _every_optimum_certified(monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "solve_lp", certified(solve_lp))
 
 
-def _lp(variables, objective, constraints):
-    return LpProblem(tuple(variables), tuple(objective), tuple(constraints))
+def _lp(objective, constraints):
+    return LpProblem(tuple(objective), tuple(constraints))
 
 
 # Non-integer factors; 113 and 999999937 are prime, so denominators grow fast.
@@ -42,12 +42,11 @@ HUGE_SCALES = (F(HUGE), F(1, HUGE), F(3 * HUGE, 7), F(1))
 
 # Beale (1955): cycles under the textbook largest-coefficient rule; min -1/20.
 BEALE = LpProblem(
-    ("x4", "x5", "x6", "x7"),
     (F(-3, 4), F(150), F(-1, 50), F(6)),
     (
-        Constraint("r1", ((0, F(1, 4)), (1, F(-60)), (2, F(-1, 25)), (3, F(9))), "<=", F(0)),
-        Constraint("r2", ((0, F(1, 2)), (1, F(-90)), (2, F(-1, 50)), (3, F(3))), "<=", F(0)),
-        Constraint("r3", ((2, F(1)),), "<=", F(1)),
+        Constraint(((0, F(1, 4)), (1, F(-60)), (2, F(-1, 25)), (3, F(9))), "<=", F(0)),
+        Constraint(((0, F(1, 2)), (1, F(-90)), (2, F(-1, 50)), (3, F(3))), "<=", F(0)),
+        Constraint(((2, F(1)),), "<=", F(1)),
     ),
 )
 
@@ -56,85 +55,84 @@ def _rescaled(prob, rng, scales=SCALES):
     """The same LP with every column, and every row, multiplied by a factor from
     `scales`; equality rows are also negated half the time. Substituting
     x_i = s_i * x'_i keeps the optimal value and feasibility unchanged."""
-    col = [rng.choice(scales) for _ in prob.variables]
+    col = [rng.choice(scales) for _ in prob.objective]
     cons = []
     for con in prob.constraints:
         r = rng.choice(scales)
         if con.relation == "==" and rng.random() < 0.5:
             r = -r
         coeffs = tuple((i, c * col[i] * r) for i, c in con.coeffs)
-        cons.append(Constraint(con.name, coeffs, con.relation, con.rhs * r))
+        cons.append(Constraint(coeffs, con.relation, con.rhs * r))
     objective = tuple(c * s for c, s in zip(prob.objective, col))
-    return LpProblem(prob.variables, objective, tuple(cons))
+    return LpProblem(objective, tuple(cons))
 
 
 class TestBasics:
     def test_min_x_at_least_three(self):
         # x >= 3 written as -x <= -3, exercising the artificial-variable path
-        prob = _lp(("x",), (F(1),), [Constraint("ge3", ((0, F(-1)),), "<=", F(-3))])
+        prob = _lp((F(1),), [Constraint(((0, F(-1)),), "<=", F(-3))])
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         assert sol.value == 3
         assert sol.x == (F(3),)
 
     def test_maximize_via_negation(self):
-        prob = _lp(("x",), (F(-1),), [Constraint("le5", ((0, F(1)),), "<=", F(5))])
+        prob = _lp((F(-1),), [Constraint(((0, F(1)),), "<=", F(5))])
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         assert sol.value == -5
 
     def test_unbounded(self):
-        prob = _lp(("x",), (F(-1),), [Constraint("ge1", ((0, F(-1)),), "<=", F(-1))])
+        prob = _lp((F(-1),), [Constraint(((0, F(-1)),), "<=", F(-1))])
         assert solve_lp(prob).status == "unbounded"
 
     def test_unbounded_unconstrained_variable(self):
-        prob = _lp(("x", "y"), (F(1), F(-2)),
-                   [Constraint("c", ((0, F(1)),), "<=", F(4))])
+        prob = _lp((F(1), F(-2)), [Constraint(((0, F(1)),), "<=", F(4))])
         assert solve_lp(prob).status == "unbounded"
 
     def test_infeasible_negative_equality(self):
-        prob = _lp(("x",), (F(1),), [Constraint("eq", ((0, F(1)),), "==", F(-2))])
+        prob = _lp((F(1),), [Constraint(((0, F(1)),), "==", F(-2))])
         assert solve_lp(prob).status == "infeasible"
 
     def test_infeasible_conflicting_rows(self):
-        prob = _lp(("x",), (F(0),), [
-            Constraint("le1", ((0, F(1)),), "<=", F(1)),
-            Constraint("ge2", ((0, F(-1)),), "<=", F(-2)),
+        prob = _lp((F(0),), [
+            Constraint(((0, F(1)),), "<=", F(1)),
+            Constraint(((0, F(-1)),), "<=", F(-2)),
         ])
         assert solve_lp(prob).status == "infeasible"
 
     def test_redundant_equalities_ok(self):
-        prob = _lp(("x", "y"), (F(1), F(1)), [
-            Constraint("a", ((0, F(1)), (1, F(1))), "==", F(4)),
-            Constraint("b", ((0, F(2)), (1, F(2))), "==", F(8)),
+        prob = _lp((F(1), F(1)), [
+            Constraint(((0, F(1)), (1, F(1))), "==", F(4)),
+            Constraint(((0, F(2)), (1, F(2))), "==", F(8)),
         ])
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         assert sol.value == 4
 
     def test_empty_row_never_satisfied_is_infeasible(self):
-        prob = _lp(("x",), (F(1),), [Constraint("never", (), "<=", F(-1))])
+        prob = _lp((F(1),), [Constraint((), "<=", F(-1))])
         assert solve_lp(prob).status == "infeasible"
 
     def test_empty_row_always_satisfied_is_dropped(self):
-        prob = _lp(("x",), (F(1),), [Constraint("always", (), "==", F(0))])
+        prob = _lp((F(1),), [Constraint((), "==", F(0))])
         sol = solve_lp(prob)
         assert (sol.status, sol.value, sol.x) == ("optimal", 0, (F(0),))
 
     def test_two_variable_classic(self):
         # min -(3x + 5y) s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6)
-        prob = _lp(("x", "y"), (F(-3), F(-5)), [
-            Constraint("c1", ((0, F(1)),), "<=", F(4)),
-            Constraint("c2", ((1, F(2)),), "<=", F(12)),
-            Constraint("c3", ((0, F(3)), (1, F(2))), "<=", F(18)),
+        prob = _lp((F(-3), F(-5)), [
+            Constraint(((0, F(1)),), "<=", F(4)),
+            Constraint(((1, F(2)),), "<=", F(12)),
+            Constraint(((0, F(3)), (1, F(2))), "<=", F(18)),
         ])
         sol = solve_lp(prob)
         assert sol.value == -36
         assert sol.x == (F(2), F(6))
 
     def test_fractional_data_stays_exact(self):
-        prob = _lp(("x", "y"), (F(1, 3), F(1, 7)), [
-            Constraint("c", ((0, F(-2, 5)), (1, F(-1, 11))), "<=", F(-1)),
+        prob = _lp((F(1, 3), F(1, 7)), [
+            Constraint(((0, F(-2, 5)), (1, F(-1, 11))), "<=", F(-1)),
         ])
         sol = solve_lp(prob)
         assert sol.status == "optimal"
@@ -143,18 +141,18 @@ class TestBasics:
         assert sol.value == F(5, 6)
 
     def test_degenerate_ties(self):
-        prob = _lp(("x", "y"), (F(-1), F(0)), [
-            Constraint("a", ((0, F(1)), (1, F(1))), "<=", F(2)),
-            Constraint("b", ((0, F(1)), (1, F(-1))), "<=", F(2)),
-            Constraint("c", ((0, F(1)),), "<=", F(2)),
+        prob = _lp((F(-1), F(0)), [
+            Constraint(((0, F(1)), (1, F(1))), "<=", F(2)),
+            Constraint(((0, F(1)), (1, F(-1))), "<=", F(2)),
+            Constraint(((0, F(1)),), "<=", F(2)),
         ])
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         assert sol.value == -2
 
     def test_zero_coefficients_are_ignored(self):
-        prob = _lp(("x", "y"), (F(1), F(1)), [
-            Constraint("z", ((0, F(0)), (1, F(1))), "==", F(2)),
+        prob = _lp((F(1), F(1)), [
+            Constraint(((0, F(0)), (1, F(1))), "==", F(2)),
         ])
         sol = solve_lp(prob)
         assert sol.status == "optimal"
@@ -165,10 +163,10 @@ class TestBasics:
         # Its row has only negative structural entries, so x and y get positive
         # phase-1 reduced costs: phase 1 ends with its artificial basic at zero,
         # and banning x and y keeps it there through phase 2.
-        prob = _lp(("x", "y", "z"), (F(1), F(2), F(1, 999999937)), [
-            Constraint("cap", ((0, F(355, 113)), (1, F(1, 999999937))), "<=", F(0)),
-            Constraint("implied", ((0, F(-355, 113)), (1, F(-2, 999999937))), "==", F(0)),
-            Constraint("zmin", ((2, F(-22, 7)),), "<=", F(-355, 113)),
+        prob = _lp((F(1), F(2), F(1, 999999937)), [
+            Constraint(((0, F(355, 113)), (1, F(1, 999999937))), "<=", F(0)),
+            Constraint(((0, F(-355, 113)), (1, F(-2, 999999937))), "==", F(0)),
+            Constraint(((2, F(-22, 7)),), "<=", F(-355, 113)),
         ])
         sol = solve_lp(prob)
         assert sol.status == "optimal"
@@ -177,14 +175,14 @@ class TestBasics:
 
     def test_pivot_cap_raises_typed_error(self, monkeypatch):
         monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
-        prob = _lp(("x",), (F(1),), [Constraint("ge3", ((0, F(-1)),), "<=", F(-3))])
+        prob = _lp((F(1),), [Constraint(((0, F(-1)),), "<=", F(-3))])
         with pytest.raises(PivotLimitError):
             solve_lp(prob)
         assert issubclass(PivotLimitError, SchedulingError)
 
     def test_assignment_covers_all_variables(self):
-        prob = _lp(("x", "y", "z"), (F(1), F(1), F(0)), [
-            Constraint("fix", ((0, F(2)),), "==", F(6)),
+        prob = _lp((F(1), F(1), F(0)), [
+            Constraint(((0, F(2)),), "==", F(6)),
         ])
         sol = solve_lp(prob)
         assert sol.x == (F(3), F(0), F(0))
@@ -234,9 +232,9 @@ class TestAgainstVertexEnumeration:
     def test_coefficients_beyond_float_range(self):
         # Pricing divides integers in floats; none of these may overflow.
         b = HUGE
-        prob = _lp(("x", "y"), (F(-b), F(-1)), [
-            Constraint("sum", ((0, F(1)), (1, F(1))), "<=", F(3 * b)),
-            Constraint("xcap", ((0, F(1)),), "<=", F(2)),
+        prob = _lp((F(-b), F(-1)), [
+            Constraint(((0, F(1)), (1, F(1))), "<=", F(3 * b)),
+            Constraint(((0, F(1)),), "<=", F(2)),
         ])
         sol = solve_lp(prob)
         assert sol.status == "optimal"
@@ -319,7 +317,7 @@ class TestPricing:
         monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 1)
         with caplog.at_level(logging.DEBUG, logger="tempsched"):
             solve_lp(BEALE)
-            solve_lp(_lp(("x",), (F(1),), [Constraint("eq", ((0, F(1)),), "==", F(-2))]))
+            solve_lp(_lp((F(1),), [Constraint(((0, F(1)),), "==", F(-2))]))
         records = [r for r in caplog.records if r.name == "tempsched"]
         assert [r.levelno for r in records] == [logging.DEBUG] * 2
         status, rows, columns, start, phase1, phase2, bland = records[0].args
@@ -359,10 +357,10 @@ class TestDualCertificate:
     def test_zero_optimum(self):
         # min x - y s.t. y <= x, x <= 2, y >= 1: the optimum 0 is at x = y, and
         # the only optimal dual is (-1, 0, 0); the last row needs an artificial.
-        prob = _lp(("x", "y"), (F(1), F(-1)), [
-            Constraint("order", ((0, F(-1)), (1, F(1))), "<=", F(0)),
-            Constraint("cap", ((0, F(1)),), "<=", F(2)),
-            Constraint("floor", ((1, F(-3, 7)),), "<=", F(-3, 7)),
+        prob = _lp((F(1), F(-1)), [
+            Constraint(((0, F(-1)), (1, F(1))), "<=", F(0)),
+            Constraint(((0, F(1)),), "<=", F(2)),
+            Constraint(((1, F(-3, 7)),), "<=", F(-3, 7)),
         ])
         sol = solve_lp(prob)
         assert sol.value == 0
@@ -372,10 +370,10 @@ class TestDualCertificate:
     def test_banned_columns_keep_the_dual_feasible(self):
         # Phase 1 bans x and y (both 0 on every feasible point); phase 2's own
         # prices leave x's reduced cost negative, so phase 1's are added in.
-        prob = _lp(("x", "y", "z"), (F(-1), F(2), F(1)), [
-            Constraint("cap", ((0, F(1)), (1, F(1))), "<=", F(0)),
-            Constraint("implied", ((0, F(-1)), (1, F(-2))), "==", F(0)),
-            Constraint("zmin", ((2, F(-1)),), "<=", F(-1)),
+        prob = _lp((F(-1), F(2), F(1)), [
+            Constraint(((0, F(1)), (1, F(1))), "<=", F(0)),
+            Constraint(((0, F(-1)), (1, F(-2))), "==", F(0)),
+            Constraint(((2, F(-1)),), "<=", F(-1)),
         ])
         sol = solve_lp(prob)
         assert (sol.value, sol.x) == (1, (F(0), F(0), F(1)))
@@ -427,11 +425,11 @@ class TestStartBasis:
                         count += 1
         assert count == 8 * 3 * 2 * 2
 
-    # min x - y s.t. x + y <= 4, y <= 5, x + y == 3 (rows 0, 1, 2)
-    HAND = _lp(("x", "y"), (F(1), F(-1)), [
-        Constraint("cap", ((0, F(1)), (1, F(1))), "<=", F(4)),
-        Constraint("ymax", ((1, F(1)),), "<=", F(5)),
-        Constraint("sum", ((0, F(1)), (1, F(1))), "==", F(3)),
+    # min x - y s.t. x + y <= 4 (cap), y <= 5 (ymax), x + y == 3 (sum): rows 0, 1, 2
+    HAND = _lp((F(1), F(-1)), [
+        Constraint(((0, F(1)), (1, F(1))), "<=", F(4)),
+        Constraint(((1, F(1)),), "<=", F(5)),
+        Constraint(((0, F(1)), (1, F(1))), "==", F(3)),
     ])
 
     @pytest.mark.parametrize("start", [
