@@ -6,16 +6,22 @@ job stops cooling at 0): starting from T at a, it is max(0, T + r*(t - a))
 at t. The simulator walks the segments once and evaluates this closed form
 at b and at every clamp instant a + T/(-r) inside (a, b), so the trajectory
 is exactly piecewise linear between breakpoints and all feasibility
-questions reduce to checks at the breakpoints. Both schedule kinds reduce
-to one list of (start, end, loads) segments: a normal schedule's come from
-`loads_from_normal`, a natural schedule's 0/1 loads from one sweep over its
-sorted span endpoints with one index per job. The rates r are computed once
-per distinct load tuple, of which a natural schedule has only a few.
+questions reduce to checks at the breakpoints.
+
+The walk is exact on integers. Segment ends lie on the grid 1/D, D the lcm
+of the schedule's time denominators (a natural schedule's 0/1 loads come
+from one sweep that flips a job's bit at each endpoint of its spans).
+Temperatures are scaled by D*R and work by D*S, R and S the lcms of the
+rate and load denominators over the distinct load tuples. A `Fraction` is
+made only for a kept value: a clamp instant, a nonzero temperature, the
+work of a loaded job; a segment end is the schedule's own `Fraction`.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -23,7 +29,6 @@ from typing import Union
 from .core import (
     Instance,
     InputError,
-    LoadSegment,
     NaturalSchedule,
     NormalSchedule,
     Trajectory,
@@ -66,30 +71,43 @@ class FeasibilityReport:
         return not self.violations
 
 
-def _segments(instance: Instance, schedule: Schedule) -> list[LoadSegment]:
-    """Reduce either schedule kind to (start, end, loads) triples covering
-    [0, end of the last span or completion); an all-idle schedule yields none."""
+def _scaled(values, den: int) -> list[int]:
+    """Each Fraction times den, a multiple of every one's denominator."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _segments(instance: Instance, schedule: Schedule) -> tuple[int, list, dict]:
+    """D, the (start*D, end*D, end, key) segments that cover [0, end of the
+    last span or completion), none if all idle, and each key's loads; end is
+    the schedule's own Fraction and D the lcm of its time denominators."""
     if isinstance(schedule, NormalSchedule):
         validate_normal_schedule(instance, schedule)
-        return loads_from_normal(schedule)
+        pieces = loads_from_normal(schedule)
+        grid = math.lcm(*(b.denominator for _, b, _ in pieces))
+        ends = [0] + _scaled([b for _, b, _ in pieces], grid)
+        return (grid, [(ends[k], ends[k + 1], b, k) for k, (_, b, _) in enumerate(pieces)],
+                {k: s for k, (*_, s) in enumerate(pieces)})
     if isinstance(schedule, NaturalSchedule):
         unknown = sorted(set(schedule.intervals) - set(instance.job_ids))
         if unknown:
             raise InputError(f"schedule names unknown job(s): {', '.join(unknown)}")
         spans = [schedule.for_job(job.id) for job in instance.jobs]
-        boundaries = sorted({_ZERO} | {t for sp in spans for span in sp for t in span})
-        # Every span endpoint is a boundary, and each job's spans are sorted and
-        # disjoint, so one index per job walks its spans alongside the boundaries.
-        idx = [0] * len(spans)
-        segments: list[LoadSegment] = []
-        for a, b in itertools.pairwise(boundaries):
-            loads = []
-            for j, sp in enumerate(spans):
-                while idx[j] < len(sp) and sp[idx[j]][1] <= a:
-                    idx[j] += 1
-                loads.append(_ONE if idx[j] < len(sp) and sp[idx[j]][0] <= a else _ZERO)
-            segments.append((a, b, tuple(loads)))
-        return segments
+        grid = math.lcm(*{t.denominator for sp in spans for span in sp for t in span})
+        # A job's spans are disjoint, so flipping its bit at each of their
+        # endpoints leaves the mask of the jobs running after a boundary.
+        flips, at = {0: 0}, {}
+        for j, sp in enumerate(spans):
+            for t in itertools.chain.from_iterable(sp):
+                g = t.numerator * (grid // t.denominator)
+                flips[g] = flips.get(g, 0) ^ 1 << j
+                at[g] = t
+        segments, mask = [], 0
+        for a, b in itertools.pairwise(sorted(flips)):
+            mask ^= flips[a]
+            segments.append((a, b, at[b], mask))
+        return grid, segments, {
+            mask: tuple(_ONE if mask >> j & 1 else _ZERO for j in range(len(spans)))
+            for mask in {key for *_, key in segments}}
     raise InputError(f"unsupported schedule type: {type(schedule).__name__}")
 
 
@@ -99,46 +117,46 @@ def simulate(instance: Instance, schedule: Schedule) -> Trajectory:
     Total on any structurally valid schedule; feasibility (overheating,
     overload) is judged separately by `check_feasibility`.
     """
-    segments = _segments(instance, schedule)
+    grid, segments, patterns = _segments(instance, schedule)
     n = instance.n
-    first = [_ZERO] if segments else []
-    breakpoints = list(first)
-    temperatures: list[list[Fraction]] = [list(first) for _ in range(n)]
-    works: list[list[Fraction]] = [list(first) for _ in range(n)]
-    loads: list[list[Fraction]] = [[] for _ in range(n)]
+    if not segments:
+        return Trajectory(instance.job_ids, (), ((),) * n, ((),) * n, ((),) * n)
+    rates = {key: [job.alpha * (1 - sj) + job.beta * sj for job, sj in zip(instance.jobs, s)]
+             for key, s in patterns.items()}
+    R = math.lcm(*{r.denominator for rs in rates.values() for r in rs})
+    S = math.lcm(*{sj.denominator for s in patterns.values() for sj in s})
+    scaled = {key: (_scaled(rates[key], R), _scaled(s, S)) for key, s in patterns.items()}
 
-    # One pass over the segments. On [a, b) job j starts at temperature T and
-    # work W and runs at load s, so at t its temperature is
-    # max(0, T + r*(t - a)) with r = alpha*(1 - s) + beta*s, and its work is
-    # W + s*(t - a). Breakpoints are b plus the instants a + T/(-r) at which
-    # a cooling job reaches 0 inside (a, b): those with T > 0 whose
-    # unclamped temperature at b, T + r*(b - a), is negative.
-    rates: dict[tuple[Fraction, ...], list[Fraction]] = {}
-    for a, b, s in segments:
-        r = rates.get(s)
-        if r is None:
-            r = rates[s] = [job.alpha * (1 - sj) + job.beta * sj
-                            for job, sj in zip(instance.jobs, s)]
-        temp = [row[-1] for row in temperatures]
-        work = [row[-1] for row in works]
+    # On [a, b) job j starts at temperature T and work W (scaled by D*R and
+    # D*S), so q = num/den grid steps later they are max(0, T + r*q) and
+    # W + s*q. Breakpoints are b (q = d/1) and, once per instant, each clamp
+    # a + T/(-r) inside (a, b): T > 0 and the unclamped value at b is < 0.
+    DR, DS = grid * R, grid * S
+    temp, work = [0] * n, [0] * n
+    breakpoints, temperatures, works, keys = [_ZERO], [[_ZERO] * n], [[_ZERO] * n], []
+    for a, b, end, key in segments:
+        r, s = scaled[key]
         d = b - a
-        at_b = [temp[j] + r[j] * d for j in range(n)]
-        clamps = {a + temp[j] / -r[j] for j in range(n) if at_b[j] < 0 < temp[j]}
-        for t in sorted(clamps) + [b]:
+        clamps = {}
+        for T, rj in zip(temp, r):
+            if T + rj * d < 0 < T:
+                clamps.setdefault(Fraction(T - a * rj, -grid * rj), (T, -rj))
+        for t, (num, den) in [*sorted(clamps.items()), (end, (d, 1))]:
             breakpoints.append(t)
-            dt = t - a
-            at_t = at_b if t == b else [temp[j] + r[j] * dt for j in range(n)]
-            for j in range(n):
-                temperatures[j].append(max(_ZERO, at_t[j]))
-                works[j].append(work[j] + s[j] * dt if s[j] else work[j])
-                loads[j].append(s[j])
+            keys.append(key)
+            temperatures.append([Fraction(x, DR * den) if (x := T * den + rj * num) > 0
+                                 else _ZERO for T, rj in zip(temp, r)])
+            works.append([Fraction(W * den + sj * num, DS * den) if sj else old
+                          for W, sj, old in zip(work, s, works[-1])])
+        temp = [max(T + rj * d, 0) for T, rj in zip(temp, r)]
+        work = [W + sj * d for W, sj in zip(work, s)]
 
     return Trajectory(
         job_ids=instance.job_ids,
         breakpoints=tuple(breakpoints),
-        loads=tuple(map(tuple, loads)),
-        temperatures=tuple(map(tuple, temperatures)),
-        works=tuple(map(tuple, works)),
+        loads=tuple(zip(*(patterns[key] for key in keys))),
+        temperatures=tuple(zip(*temperatures)),
+        works=tuple(zip(*works)),
     )
 
 
@@ -146,14 +164,13 @@ def completion_from_work(
     breakpoints: tuple[Fraction, ...], work: tuple[Fraction, ...], p: Fraction
 ) -> Fraction | None:
     """First time cumulative work reaches p, exact within its linear piece;
-    None when the schedule never does that much work."""
+    None when the schedule never does that much work. The work row never
+    falls, so the piece is found by bisection."""
     if not breakpoints or work[-1] < p:
         return None
-    for k in range(len(breakpoints) - 1):
-        if work[k + 1] >= p:
-            rate = (work[k + 1] - work[k]) / (breakpoints[k + 1] - breakpoints[k])
-            return breakpoints[k] + (p - work[k]) / rate
-    return None  # unreachable: work[-1] >= p > 0 = work[0]
+    k = bisect.bisect_left(work, p)  # work[k - 1] < p <= work[k], as work[0] = 0 < p
+    rate = (work[k] - work[k - 1]) / (breakpoints[k] - breakpoints[k - 1])
+    return breakpoints[k - 1] + (p - work[k - 1]) / rate
 
 
 def check_feasibility(instance: Instance, schedule: Schedule) -> FeasibilityReport:
@@ -168,26 +185,28 @@ def check_feasibility(instance: Instance, schedule: Schedule) -> FeasibilityRepo
     m = instance.machines
     violations: list[Violation] = []
 
+    # A Fraction exceeds 1 exactly when its numerator exceeds its denominator.
     for j, job in enumerate(instance.jobs):
-        for k, t in enumerate(traj.breakpoints):
-            if traj.temperatures[j][k] > 1:
-                violations.append(Violation(job.id, t, OVERHEAT))
-                break
+        k = next((k for k, t in enumerate(traj.temperatures[j]) if t.numerator > t.denominator),
+                 None)
+        if k is not None:
+            violations.append(Violation(job.id, traj.breakpoints[k], OVERHEAT))
 
-    # `simulate` splits a constant-load stretch wherever some job cools to 0,
-    # so capacity is judged once per run of pieces with equal loads.
-    prev = None
+    # One capacity verdict per run of equal loads (simulate splits a run where
+    # a job cools to 0), kept under the loads' ids: simulate reuses its loads.
+    prev, over = None, {}
     for k, loads in enumerate(zip(*traj.loads)):
         if loads != prev:
-            prev = loads
-            if sum(loads, _ZERO) > m:
+            prev, key = loads, tuple(map(id, loads))
+            if key not in over:
+                over[key] = sum(loads, _ZERO) > m
+            if over[key]:
                 violations.append(Violation(None, traj.breakpoints[k], MANAGEABILITY))
     if m > 1:
         for j, job in enumerate(instance.jobs):
-            for k, s in enumerate(traj.loads[j]):
-                if s > 1:
-                    violations.append(Violation(job.id, traj.breakpoints[k], PER_JOB_RATE))
-                    break
+            k = next((k for k, s in enumerate(traj.loads[j]) if s.numerator > s.denominator), None)
+            if k is not None:
+                violations.append(Violation(job.id, traj.breakpoints[k], PER_JOB_RATE))
 
     completions: dict[str, Fraction] = {}
     missing: list[str] = []

@@ -14,8 +14,9 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from tempsched import (
-    Instance, Job, LpProblem, NormalSchedule, build_order_lp, dual_bound,
-    natural_from_intervals, simulate, solve_lp,
+    InputError, Instance, Job, LpProblem, NormalSchedule, Trajectory,
+    build_order_lp, dual_bound, loads_from_normal, natural_from_intervals, simulate, solve_lp,
+    validate_normal_schedule,
 )
 
 F = Fraction
@@ -312,3 +313,101 @@ def plain_best_order(instance: Instance, objective: str):
         if best is None or sol.value < best[1]:
             best = (order, sol.value, sol)
     return best
+
+
+def _reference_segments(instance: Instance, schedule):
+    """(start, end, loads) segments covering [0, end of the last span or
+    completion): a normal schedule's from `loads_from_normal`, a natural
+    schedule's 0/1 loads from one sweep over its sorted span endpoints."""
+    if isinstance(schedule, NormalSchedule):
+        validate_normal_schedule(instance, schedule)
+        return loads_from_normal(schedule)
+    unknown = sorted(set(schedule.intervals) - set(instance.job_ids))
+    if unknown:
+        raise InputError(f"schedule names unknown job(s): {', '.join(unknown)}")
+    spans = [schedule.for_job(job.id) for job in instance.jobs]
+    boundaries = sorted({F(0)} | {t for sp in spans for span in sp for t in span})
+    idx = [0] * len(spans)
+    segments = []
+    for a, b in itertools.pairwise(boundaries):
+        loads = []
+        for j, sp in enumerate(spans):
+            while idx[j] < len(sp) and sp[idx[j]][1] <= a:
+                idx[j] += 1
+            loads.append(F(1) if idx[j] < len(sp) and sp[idx[j]][0] <= a else F(0))
+        segments.append((a, b, tuple(loads)))
+    return segments
+
+
+def reference_simulate(instance: Instance, schedule) -> Trajectory:
+    """The simulator with one `Fraction` operation per job per breakpoint,
+    kept as the oracle for `tempsched.simulate`, which works on integers.
+
+    On [a, b) at load s a job's temperature is max(0, T + r*(t - a)) with
+    r = alpha*(1 - s) + beta*s; breakpoints are b and the instants
+    a + T/(-r) inside (a, b) at which a cooling job reaches 0."""
+    segments = _reference_segments(instance, schedule)
+    n = instance.n
+    first = [F(0)] if segments else []
+    breakpoints = list(first)
+    temperatures = [list(first) for _ in range(n)]
+    works = [list(first) for _ in range(n)]
+    loads = [[] for _ in range(n)]
+    for a, b, s in segments:
+        r = [job.alpha * (1 - sj) + job.beta * sj for job, sj in zip(instance.jobs, s)]
+        temp = [row[-1] for row in temperatures]
+        work = [row[-1] for row in works]
+        d = b - a
+        at_b = [temp[j] + r[j] * d for j in range(n)]
+        clamps = {a + temp[j] / -r[j] for j in range(n) if at_b[j] < 0 < temp[j]}
+        for t in sorted(clamps) + [b]:
+            breakpoints.append(t)
+            dt = t - a
+            at_t = at_b if t == b else [temp[j] + r[j] * dt for j in range(n)]
+            for j in range(n):
+                temperatures[j].append(max(F(0), at_t[j]))
+                works[j].append(work[j] + s[j] * dt if s[j] else work[j])
+                loads[j].append(s[j])
+    return Trajectory(
+        job_ids=instance.job_ids,
+        breakpoints=tuple(breakpoints),
+        loads=tuple(map(tuple, loads)),
+        temperatures=tuple(map(tuple, temperatures)),
+        works=tuple(map(tuple, works)),
+    )
+
+
+def reference_report(instance: Instance, traj: Trajectory):
+    """(violations as (job id, time, kind), completions, missing, sum,
+    makespan) judged from a trajectory with plain `Fraction` comparisons and
+    a linear scan: the first breakpoint above 1 per job, an overload once per
+    run of equal loads, the first load above 1 per job on several machines,
+    and each job's first time of reaching its p."""
+    m, bps = instance.machines, traj.breakpoints
+    violations = []
+    for j, job in enumerate(instance.jobs):
+        hot = [t for t, x in zip(bps, traj.temperatures[j]) if x > 1]
+        if hot:
+            violations.append((job.id, hot[0], "overheat"))
+    prev = None
+    for t, loads in zip(bps, zip(*traj.loads)):
+        if loads != prev and sum(loads) > m:
+            violations.append((None, t, "manageability"))
+        prev = loads
+    for j, job in enumerate(instance.jobs):
+        fast = [t for t, s in zip(bps, traj.loads[j]) if s > 1]
+        if m > 1 and fast:
+            violations.append((job.id, fast[0], "per-job-rate"))
+    completions = {}
+    for j, job in enumerate(instance.jobs):
+        w = traj.works[j]
+        for k in range(len(bps) - 1):
+            if w[k + 1] >= job.p:
+                rate = (w[k + 1] - w[k]) / (bps[k + 1] - bps[k])
+                completions[job.id] = bps[k] + (job.p - w[k]) / rate
+                break
+    missing = tuple(job.id for job in instance.jobs if job.id not in completions)
+    if missing:
+        return violations, completions, missing, None, None
+    return (violations, completions, missing, sum(completions.values(), F(0)),
+            max(completions.values(), default=F(0)))

@@ -20,12 +20,13 @@ from tempsched import (
     gamma_scale,
     loads_from_normal,
     simulate,
+    solve_sum,
     time_slice,
 )
 from tempsched.discretize import MAX_SLICE_SPANS, _peak, _sliceable_segments
 from tempsched.generate import random_instance
 
-from .helpers import normal_cases, sequential_full_speed, work_at
+from .helpers import normal_cases, sequential_full_speed, small_rationals, work_at
 
 F = Fraction
 
@@ -211,6 +212,34 @@ class TestSlicedPeak:
         peak = _peak(instance.jobs, _sliceable_segments(schedule), k)
         assert (peak > 1) == (not report.feasible)
         assert peak == max(t for row in report.trajectory.temperatures for t in row)
+
+
+@st.composite
+def common_rate_optima(draw):
+    """A common-rate instance of 1 to 4 jobs on one machine, its sum-optimal
+    normal schedule and a gamma."""
+    alpha, beta = -draw(small_rationals(1, 4)), draw(small_rationals(1, 4))
+    instance = Instance(tuple(Job(f"j{j}", draw(small_rationals(1, 4)), alpha, beta)
+                              for j in range(draw(st.integers(1, 4)))))
+    return instance, solve_sum(instance)[0], draw(st.sampled_from([F(11, 10), F(3, 2), F(2)]))
+
+
+class TestDiscretizedCompletions:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(common_rate_optima())
+    def test_within_one_slice_of_the_stretched_originals(self, case):
+        # A job's stretched completion is the end of the interval in which its
+        # work first reaches p; the k-slicing runs its last piece in the last
+        # slice of that interval, so it finishes at most one slice earlier.
+        instance, schedule, gamma = case
+        natural, k, report = discretize_auto(instance, schedule, gamma)
+        for j, job in enumerate(instance.jobs):
+            i = next(i for i, row in enumerate(schedule.work) if row[j] == job.p)
+            end = gamma * schedule.completions[i]
+            start = gamma * schedule.completions[i - 1] if i else F(0)
+            done = natural.for_job(job.id)[-1][1]
+            assert end - (end - start) / k <= done <= end
+            assert report.completions[job.id] == done
 
 
 class TestSliceLimit:

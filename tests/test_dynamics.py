@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempsched import (
@@ -12,12 +12,14 @@ from tempsched import (
     Job,
     NaturalSchedule,
     NormalSchedule,
+    Trajectory,
+    Violation,
     check_feasibility,
     natural_from_intervals,
     simulate,
 )
 
-from .helpers import natural_cases, normal_cases
+from .helpers import natural_cases, normal_cases, reference_report, reference_simulate
 
 F = Fraction
 
@@ -108,6 +110,58 @@ class TestClampsInOneSegment:
             (F(0), F(1), F(1), F(1), F(2)),
             (F(0), F(1), F(1), F(1), F(1)),
         )
+
+
+class TestIntegerGridEdges:
+    """Cases where the grid 1/D and the scales D*R, D*S are all above 1."""
+
+    def test_two_jobs_reaching_zero_together_on_a_fine_grid(self):
+        # a at 1/2 cooling at -5/4 and b at 7/24 cooling at -35/48, both idle
+        # from 3/7, reach 0 at 29/35; the rates' lcm R is 48 and D is 7
+        inst = Instance((Job("a", 1, F(-5, 4), F(7, 6)), Job("b", 1, F(-35, 48), F(7, 2))),
+                        machines=2)
+        sched = natural_from_intervals({"a": [(0, F(3, 7)), (1, F(8, 7))], "b": [(0, F(1, 7))]})
+        traj = simulate(inst, sched)
+        assert traj.breakpoints == (F(0), F(1, 7), F(3, 7), F(29, 35), F(1), F(8, 7))
+        assert traj.temperatures == (
+            (F(0), F(1, 6), F(1, 2), F(0), F(0), F(1, 6)),
+            (F(0), F(1, 2), F(7, 24), F(0), F(0), F(0)),
+        )
+        assert traj.works == (
+            (F(0), F(1, 7), F(3, 7), F(3, 7), F(3, 7), F(4, 7)),
+            (F(0), F(1, 7), F(1, 7), F(1, 7), F(1, 7), F(1, 7)),
+        )
+        assert traj.loads == ((1, 1, 0, 0, 1), (1, 0, 0, 0, 0))
+
+    def test_clamp_at_a_segment_end_adds_no_breakpoint(self):
+        # 3/7 at 7/3 heats to 1, and cooling at -7/11 takes 11/7: 0 exactly at t=2
+        inst = Instance((Job("a", 1, F(-7, 11), F(7, 3)),))
+        traj = simulate(inst, natural_from_intervals({"a": [(0, F(3, 7)), (2, F(17, 7))]}))
+        assert traj.breakpoints == (F(0), F(3, 7), F(2), F(17, 7))
+        assert traj.temperatures == ((F(0), F(1), F(0), F(1)),)
+        assert traj.works == ((F(0), F(3, 7), F(3, 7), F(6, 7)),)
+
+    def test_all_idle_schedule_gives_an_empty_trajectory(self):
+        inst = Instance((Job("a", 1, F(-1, 7), F(1, 3)), Job("b", 2, F(-1), F(1))), machines=2)
+        empty = Trajectory(("a", "b"), (), ((), ()), ((), ()), ((), ()))
+        for sched in (NaturalSchedule({}), NaturalSchedule({"a": (), "b": ()})):
+            assert simulate(inst, sched) == empty
+
+    def test_per_job_rate_reported_once_on_two_machines(self):
+        # a runs at load 3/2 on [0, 2); b cools to 0 at t = 3/2, which splits
+        # a's second interval, so a is above rate 1 on three pieces
+        inst = Instance((Job("a", 3, F(-1, 10), F(1, 10)), Job("b", F(1, 2), F(-1, 2), 1)),
+                        machines=2)
+        sched = NormalSchedule((1, 0), (F(1), F(2)), ((F(3, 2), F(1, 2)), (F(3), F(1, 2))))
+        report = check_feasibility(inst, sched)
+        assert report.trajectory.breakpoints == (F(0), F(1), F(3, 2), F(2))
+        assert report.trajectory.loads == ((F(3, 2),) * 3, (F(1, 2), F(0), F(0)))
+        assert report.trajectory.temperatures == (
+            (F(0), F(1, 5), F(3, 10), F(2, 5)),
+            (F(0), F(1, 4), F(0), F(0)),
+        )
+        assert report.violations == (Violation("a", F(0), "per-job-rate"),)
+        assert report.completions == {"a": F(2), "b": F(1)}
 
 
 class TestCheckFeasibility:
@@ -278,3 +332,52 @@ class TestTrajectoryInvariants:
             assert set(base.completions) == set(moved.completions)
             for job_id, c in base.completions.items():
                 assert moved.completions[job_id] == c + delta
+
+
+@st.composite
+def oracle_cases(draw):
+    """A drawn natural or normal case on 1 to 3 machines, with time stretched
+    by a factor in (1/2, 7/2] over 2*den, den one of 1, 7, 113 and 10**30 (a
+    factor below 1 pushes a normal schedule's loads up to 2). A natural case may get one
+    more span for its first job after an idle gap, in which jobs cool to 0,
+    and a twin of that job, same rates and spans, so two reach 0 together."""
+    instance, schedule = draw(st.one_of(natural_cases(), normal_cases()))
+    den = draw(st.sampled_from([1, 7, 113, 10**30]))
+    c = F(draw(st.integers(1, 6)) * den + draw(st.integers(1, den)), 2 * den)
+    jobs = instance.jobs
+    if isinstance(schedule, NormalSchedule):
+        schedule = NormalSchedule(schedule.order, [c * t for t in schedule.completions],
+                                  schedule.work)
+    else:
+        spans = {j: [(c * a, c * b) for a, b in sp] for j, sp in schedule.intervals.items()}
+        end = max((b for sp in spans.values() for _, b in sp), default=F(0))
+        gap = draw(st.sampled_from([F(10**4), F(1, 7), None]))
+        if gap is not None:
+            spans.setdefault(jobs[0].id, []).append((end + gap, end + gap + c))
+        if not draw(st.booleans()):
+            first = jobs[0]
+            jobs += (Job("twin", first.p, first.alpha, first.beta),)
+            spans["twin"] = spans.get(first.id, [])
+        schedule = natural_from_intervals(spans)
+    return Instance(jobs, machines=draw(st.integers(1, 3))), schedule
+
+
+_TINY = F(1, 10**30)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(oracle_cases())
+@example((  # twins on one machine: an overload, and two jobs reaching 0 together
+    Instance((Job("a", 1, F(-5, 4), F(7, 6)), Job("b", 1, F(-5, 4), F(7, 6)))),
+    natural_from_intervals({j: [(0, 3 * _TINY), (1, 2 - _TINY)] for j in "ab"})))
+@example((  # two machines, loads above 1 on a grid of 10**30
+    Instance((Job("a", 3, F(-1, 10), F(1, 10)), Job("b", F(1, 2), F(-1, 2), 1)), machines=2),
+    NormalSchedule((1, 0), (1 + _TINY, F(2)), ((F(3, 2), F(1, 2)), (F(3), F(1, 2))))))
+def test_integer_simulation_matches_the_fraction_reference(case):
+    inst, sched = case
+    expected = reference_simulate(inst, sched)
+    assert simulate(inst, sched) == expected
+    report = check_feasibility(inst, sched)
+    violations = [(v.job_id, v.time, v.kind) for v in report.violations]
+    assert (violations, report.completions, report.missing, report.objective_sum,
+            report.makespan) == reference_report(inst, expected)
