@@ -232,10 +232,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first `main` call and reused by later calls in the same
+# process, as parsing leaves it unchanged. Built at import, it would cost
+# every `import tempsched.cli` that never parses a command line.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:

@@ -15,6 +15,7 @@ schedule loads more than `m` jobs at once.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -274,17 +275,18 @@ class NaturalSchedule:
     def __post_init__(self):
         cleaned: dict[str, tuple[Interval, ...]] = {}
         for job_id, spans in self.intervals.items():
-            spans = tuple((as_rational(a, "interval start"), as_rational(b, "interval end"))
-                          for a, b in spans)
-            prev_end: Fraction | None = None
-            for a, b in spans:
-                if a < 0:
+            start, end = f"job {job_id}: interval start", f"job {job_id}: interval end"
+            spans = tuple((as_rational(a, start), as_rational(b, end)) for a, b in spans)
+            scaled = _on_grid([t for span in spans for t in span])
+            prev_end = None
+            for (a, b), x, y in zip(spans, scaled[::2], scaled[1::2]):
+                if x < 0:
                     raise InputError(f"job {job_id}: interval starts before t=0")
-                if a >= b:
+                if x >= y:
                     raise InputError(f"job {job_id}: empty or reversed interval [{a}, {b})")
-                if prev_end is not None and a < prev_end:
+                if prev_end is not None and x < prev_end:
                     raise InputError(f"job {job_id}: intervals overlap or are unsorted at t={a}")
-                prev_end = b
+                prev_end = y
             cleaned[job_id] = spans
         object.__setattr__(self, "intervals", cleaned)
 
@@ -292,20 +294,39 @@ class NaturalSchedule:
         return self.intervals.get(job_id, ())
 
 
-def _merge_intervals(spans: Iterable[tuple[RationalLike, RationalLike]]) -> tuple[Interval, ...]:
-    """Sort and union intervals; touching half-open intervals fuse."""
-    parsed = sorted(
-        (as_rational(a, "interval start"), as_rational(b, "interval end")) for a, b in spans
-    )
-    merged: list[list[Fraction]] = []
-    for a, b in parsed:
-        if a >= b:
-            raise InputError(f"empty or reversed interval [{a}, {b})")
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
+def _scaled(values, den: int) -> list[int]:
+    """Each Fraction times den, a multiple of every one's denominator."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _on_grid(times: Sequence[Fraction]) -> list[int]:
+    """`times` scaled by the lcm of their denominators: integers that sort
+    and compare as the times do."""
+    return _scaled(times, math.lcm(*(t.denominator for t in times)))
+
+
+def _merge_intervals(
+    job_id: str, spans: Iterable[tuple[RationalLike, RationalLike]],
+) -> tuple[Interval, ...]:
+    """Sort and union one job's intervals; touching half-open intervals fuse.
+
+    Each endpoint is parsed once; sorting and merging run on the endpoints
+    scaled by `_on_grid`, and the merged spans keep the parsed `Fraction`s."""
+    start, end = f"job {job_id}: interval start", f"job {job_id}: interval end"
+    times: list[Fraction] = []
+    for a, b in spans:
+        times += (as_rational(a, start), as_rational(b, end))
+    scaled = _on_grid(times)
+    at = dict(zip(scaled, times))
+    merged: list[list[int]] = []
+    for x, y in sorted(zip(scaled[::2], scaled[1::2])):
+        if x >= y:
+            raise InputError(f"job {job_id}: empty or reversed interval [{at[x]}, {at[y]})")
+        if merged and x <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], y)
         else:
-            merged.append([a, b])
-    return tuple((a, b) for a, b in merged)
+            merged.append([x, y])
+    return tuple((at[x], at[y]) for x, y in merged)
 
 
 def natural_from_intervals(
@@ -313,7 +334,8 @@ def natural_from_intervals(
 ) -> NaturalSchedule:
     """Build a natural schedule from raw per-job interval lists, sorting and
     merging each job's intervals."""
-    return NaturalSchedule({job_id: _merge_intervals(spans) for job_id, spans in raw.items()})
+    return NaturalSchedule({job_id: _merge_intervals(job_id, spans)
+                            for job_id, spans in raw.items()})
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ scope here.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,6 +38,7 @@ from .core import (
     NormalSchedule,
     RationalLike,
     SchedulingError,
+    _scaled,
     as_rational,
     debug,
     loads_from_normal,
@@ -128,14 +130,23 @@ def time_slice(instance: Instance, schedule: NormalSchedule, k: int) -> NaturalS
         )
     raw: dict[str, list[tuple[Fraction, Fraction]]] = {job.id: [] for job in instance.jobs}
     for start, end, loads in segments:
-        h = (end - start) / k
+        # With G and L the lcms of the interval's and the loads' denominators,
+        # S = start*G and E = end*G, slice r puts the boundary after the
+        # loaded jobs of scaled load sum O at (S*k*L + (E-S)*(r*L + O)) / (G*k*L):
+        # the value of the running sum t = start + r*h, t += s*h, one
+        # Fraction per endpoint.
+        G = math.lcm(start.denominator, end.denominator)
+        L = math.lcm(*(s.denominator for s in loads))
+        S, E = _scaled((start, end), G)
+        offsets = [0]
+        for w in _scaled([s for s in loads if s > 0], L):
+            offsets.append(offsets[-1] + w * (E - S))
+        loaded = [raw[job.id] for job, s in zip(instance.jobs, loads) if s > 0]
         for r in range(k):
-            t = start + r * h
-            for j, job in enumerate(instance.jobs):
-                s = loads[j]
-                if s > 0:
-                    raw[job.id].append((t, t + s * h))
-                    t += s * h
+            base = (S * k + (E - S) * r) * L
+            times = [Fraction(base + o, G * k * L) for o in offsets]
+            for job_spans, a, b in zip(loaded, times, times[1:]):
+                job_spans.append((a, b))
     return natural_from_intervals(raw)
 
 

@@ -32,6 +32,7 @@ from .core import (
     NaturalSchedule,
     NormalSchedule,
     Trajectory,
+    _scaled,
     loads_from_normal,
     validate_normal_schedule,
 )
@@ -69,11 +70,6 @@ class FeasibilityReport:
     @property
     def feasible(self) -> bool:
         return not self.violations
-
-
-def _scaled(values, den: int) -> list[int]:
-    """Each Fraction times den, a multiple of every one's denominator."""
-    return [v.numerator * (den // v.denominator) for v in values]
 
 
 def _segments(instance: Instance, schedule: Schedule) -> tuple[int, list, dict]:

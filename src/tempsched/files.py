@@ -131,11 +131,7 @@ def parse_schedule(data: Any, instance: Instance) -> Schedule:
                 isinstance(s, list) and len(s) == 2 for s in spans
             ):
                 raise InputError(f"job {job_id}: intervals must be [start, end] pairs")
-            raw[job_id] = [
-                (as_rational(a, f"job {job_id} interval start"),
-                 as_rational(b, f"job {job_id} interval end"))
-                for a, b in spans
-            ]
+            raw[job_id] = spans
         return natural_from_intervals(raw)
     if kind == "normal":
         order_ids = data.get("order")

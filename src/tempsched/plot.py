@@ -26,25 +26,34 @@ def approx(value: Fraction) -> Union[float, Decimal]:
 
 
 def _dec(value: Fraction) -> str:
-    return format(approx(value), ".12g")
+    """`value` to 12 significant digits, as `format(approx(value), ".12g")`
+    gives it. Exact 0 and 1 are written directly; any other value is the
+    correctly rounded quotient of its numerator and denominator, or a
+    Decimal where that is beyond the float range."""
+    num, den = value.numerator, value.denominator
+    if den == 1 and 0 <= num <= 1:
+        return "1" if num else "0"
+    try:
+        return format(num / den, ".12g")
+    except OverflowError:
+        return format(Decimal(num) / den, ".12g")
 
 
 def emit_csv(trajectory: Trajectory, path: Union[str, Path]) -> None:
     """Write one row per breakpoint: time, then each job's load on the
     segment starting there (0 at the final breakpoint) and its temperature."""
     header = ["time"]
-    for job_id in trajectory.job_ids:
+    columns = [[_dec(t) for t in trajectory.breakpoints]]
+    last = ["0"] if trajectory.breakpoints else []
+    for job_id, loads, temps in zip(trajectory.job_ids, trajectory.loads,
+                                    trajectory.temperatures):
         header += [f"{job_id}.load", f"{job_id}.temp"]
+        columns.append([_dec(s) for s in loads] + last)
+        columns.append([_dec(t) for t in temps])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        nseg = max(len(trajectory.breakpoints) - 1, 0)
-        for k, t in enumerate(trajectory.breakpoints):
-            row = [_dec(t)]
-            for j in range(len(trajectory.job_ids)):
-                load = trajectory.loads[j][k] if k < nseg else Fraction(0)
-                row += [_dec(load), _dec(trajectory.temperatures[j][k])]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 _PANEL_W = 640

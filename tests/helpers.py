@@ -7,8 +7,10 @@ tries every basis subset, so agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -411,3 +413,62 @@ def reference_report(instance: Instance, traj: Trajectory):
         return violations, completions, missing, None, None
     return (violations, completions, missing, sum(completions.values(), F(0)),
             max(completions.values(), default=F(0)))
+
+
+def reference_merge(spans) -> tuple[tuple[Fraction, Fraction], ...]:
+    """One job's spans sorted and united by plain `Fraction` comparisons,
+    touching spans fused: the oracle for `natural_from_intervals`, which
+    merges on integers."""
+    merged = []
+    for a, b in sorted(spans):
+        assert a < b, (a, b)
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return tuple((a, b) for a, b in merged)
+
+
+def reference_time_slice(instance: Instance, schedule: NormalSchedule, k: int):
+    """The `intervals` of `time_slice(instance, schedule, k)`, built with one
+    running `Fraction` sum per slice: each slice of length h starts at
+    start + r*h and runs the loaded jobs back to back in instance order, job
+    j for s_j*h. The oracle for `time_slice`, which computes every endpoint
+    from integers."""
+    raw = {job.id: [] for job in instance.jobs}
+    for start, end, loads in loads_from_normal(schedule):
+        h = (end - start) / k
+        for r in range(k):
+            t = start + r * h
+            for job, s in zip(instance.jobs, loads):
+                if s > 0:
+                    raw[job.id].append((t, t + s * h))
+                    t += s * h
+    return {job_id: reference_merge(spans) for job_id, spans in raw.items()}
+
+
+def reference_emit_csv(trajectory: Trajectory, path) -> None:
+    """`emit_csv` a row at a time: every value through `float`, or through
+    `Decimal` beyond the float range, to 12 significant digits. The oracle
+    for `emit_csv`, which renders by column and writes exact 0 and 1 as
+    they are."""
+    def dec(value):
+        try:
+            approx = float(value)
+        except OverflowError:
+            approx = Decimal(value.numerator) / value.denominator
+        return format(approx, ".12g")
+
+    header = ["time"]
+    for job_id in trajectory.job_ids:
+        header += [f"{job_id}.load", f"{job_id}.temp"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        nseg = max(len(trajectory.breakpoints) - 1, 0)
+        for k, t in enumerate(trajectory.breakpoints):
+            row = [dec(t)]
+            for j in range(len(trajectory.job_ids)):
+                load = trajectory.loads[j][k] if k < nseg else F(0)
+                row += [dec(load), dec(trajectory.temperatures[j][k])]
+            writer.writerow(row)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -264,6 +265,18 @@ class TestVerifyAndSimulate:
         assert main(["verify", twin_file, sched]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("span, message", [
+        (["3", "2"], "job b: empty or reversed interval [3, 2)"),
+        (["0", "x"], "job b: interval end: cannot parse 'x'"),
+    ], ids=["reversed", "unparsable"])
+    def test_bad_span_names_its_job_exit_2(self, tmp_path, capsys, span, message):
+        jobs = [{"id": "a", "p": "1"}, {"id": "b", "p": "1"}]
+        inst = _write(tmp_path, "ab.json", {"alpha": "-1", "beta": "1", "jobs": jobs})
+        sched = _write(tmp_path, "bad.json",
+                       {"kind": "natural", "intervals": {"a": [["0", "1"]], "b": [span]}})
+        assert main(["verify", inst, sched]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unwritable_artifact_exit_2(self, twin_file, tmp_path):
         sched = _write(tmp_path, "nat.json", NAIVE_NATURAL)
         bad = str(tmp_path / "no_dir" / "x.csv")
@@ -360,6 +373,48 @@ class TestThresholdFile:
             assert main(["verify", inst, str(natural)]) == 0
             runs.append((capsys.readouterr().out, normal.read_bytes(), natural.read_bytes()))
         assert runs[0] == runs[1]
+
+
+GOLDEN_INSTANCE = {
+    "machines": 1,
+    "alpha": "-4",
+    "beta": "1",
+    "jobs": [{"id": "a", "p": "1"}, {"id": "b", "p": "3/2"}, {"id": "c", "p": "5/2"},
+             {"id": "d", "p": "4"}],
+}
+
+# sha256 of every file the pipeline below writes, and of its printed text,
+# as recorded before the load, slice and CSV paths moved onto integers.
+# Never re-record these: they pin the output of those paths byte for byte.
+GOLDEN_DIGESTS = {
+    "normal.json": "9399254ead5eb6ced5f50766c6e4d695057a340950707d99c06d82daef2a69a9",
+    "g11_10.json": "966b71458af38e367652a2176b9fad5f4ab79e563cd4b1275158c1d23095fafd",
+    "g11_10.csv": "d3f2cc4b0106f78c56da06c4f5661a6c295449c6103aca57b52c0fd427b8f6b3",
+    "g101_100.json": "99f383fd2f629d46120c80a3a94dfe9e97baffa27d8cf97dad6f0147273a75d4",
+    "g101_100.csv": "db1b40c4a5e95cfaf65bf5d0d0a3ccc78c05b187402be5bc3ed0fc6e65bb83c4",
+    "stdout": "05260f58d3c38b19f55a144dc101ef4e57e605fca94d82556468f88570cb1c28",
+}
+
+
+class TestGoldenPipeline:
+    def test_files_match_recorded_digests(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", GOLDEN_INSTANCE)
+        out = tmp_path / "out"
+        out.mkdir()
+        # A usage error first: `main` may keep its parser between calls, and
+        # a failed parse must leave nothing behind for the next call.
+        assert main(["discretize", inst, str(out / "normal.json"), "--k", "2", "--auto"]) == 2
+        capsys.readouterr()
+        assert main(["solve-sum", inst, "--out", str(out / "normal.json")]) == 0
+        for tag, gamma in (("g11_10", "11/10"), ("g101_100", "101/100")):
+            natural = str(out / f"{tag}.json")
+            assert main(["discretize", inst, str(out / "normal.json"), "--gamma", gamma,
+                         "--auto", "--out", natural]) == 0
+            assert main(["verify", inst, natural, "--csv", str(out / f"{tag}.csv")]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out.iterdir()}
+        digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == GOLDEN_DIGESTS
 
 
 class TestExactOutput:

@@ -3,18 +3,23 @@ from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempsched import (
     InconsistentScheduleError,
     InputError,
     Instance,
     Job,
+    NaturalSchedule,
     NormalSchedule,
     as_rational,
     check_feasibility,
     loads_from_normal,
     natural_from_intervals,
 )
+
+from .helpers import reference_merge
 
 F = Fraction
 
@@ -308,3 +313,20 @@ class TestNaturalFromIntervals:
     def test_reversed_interval_rejected(self):
         with pytest.raises(InputError):
             natural_from_intervals({"j1": [(2, 1)]})
+
+    def test_bad_span_errors_name_the_job(self):
+        with pytest.raises(InputError, match="job b: empty or reversed interval"):
+            natural_from_intervals({"a": [("0", "1")], "b": [("3", "2")]})
+        with pytest.raises(InputError, match="job b: interval start: cannot parse"):
+            NaturalSchedule({"a": ((F(0), F(1)),), "b": (("x", F(1)),)})
+        with pytest.raises(InputError, match="job b: interval end: cannot parse"):
+            natural_from_intervals({"b": [("0", "1/0")]})
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 5),
+                              st.sampled_from([1, 2, 3, 113]), st.sampled_from([1, 2, 3, 113])),
+                    max_size=6))
+    def test_integer_merge_matches_the_fraction_reference(self, drawn):
+        # Denominators of 113 put near-touching spans a grid step apart.
+        spans = [(F(a, d), F(a, d) + F(w, e)) for a, w, d, e in drawn]
+        assert natural_from_intervals({"j": spans}).for_job("j") == reference_merge(spans)

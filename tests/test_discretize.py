@@ -26,7 +26,9 @@ from tempsched import (
 from tempsched.discretize import MAX_SLICE_SPANS, _peak, _sliceable_segments
 from tempsched.generate import random_instance
 
-from .helpers import normal_cases, sequential_full_speed, small_rationals, work_at
+from .helpers import (
+    normal_cases, reference_time_slice, sequential_full_speed, small_rationals, work_at,
+)
 
 F = Fraction
 
@@ -53,6 +55,13 @@ class TestGammaScale:
         scaled = gamma_scale(sched, 2)
         assert scaled.completions == (F(6),)
         assert loads_from_normal(scaled) == [(F(0), F(6), (F(1, 2),))]
+
+
+# The twin instance stretched by 101/100: k = 32 overheats, k = 64 does not.
+TWIN_STRETCHED = (
+    Instance((Job("j1", 2, F(-1, 3), 1), Job("j2", 2, F(-1, 3), 1))),
+    NormalSchedule((0, 1), (F(101, 20), F(101, 20)), ((F(2), F(2)), (F(2), F(2)))),
+)
 
 
 class TestTimeSlice:
@@ -114,6 +123,15 @@ class TestTimeSlice:
     def test_rejects_bad_k(self, twin_instance, twin_optimum):
         with pytest.raises(InputError):
             time_slice(twin_instance, twin_optimum, 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(normal_cases(), st.sampled_from([1, 2, 3, 8]))
+@example(TWIN_STRETCHED, 3)
+def test_integer_slicing_matches_the_fraction_reference(case, k):
+    instance, schedule = case
+    assert time_slice(instance, schedule, k).intervals == reference_time_slice(
+        instance, schedule, k)
 
 
 class TestDiscretizeAuto:
@@ -192,13 +210,6 @@ def sliceable_cases(draw):
     and a slice count. Cooling can be much faster than heating, so a job can
     reach 0 before and after its on-piece in the same slice."""
     return (*draw(normal_cases()), draw(st.integers(1, 24)))
-
-
-# The twin instance stretched by 101/100: k = 32 overheats, k = 64 does not.
-TWIN_STRETCHED = (
-    Instance((Job("j1", 2, F(-1, 3), 1), Job("j2", 2, F(-1, 3), 1))),
-    NormalSchedule((0, 1), (F(101, 20), F(101, 20)), ((F(2), F(2)), (F(2), F(2)))),
-)
 
 
 class TestSlicedPeak:

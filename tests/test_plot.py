@@ -1,13 +1,21 @@
 import csv
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from tempsched import (
+    Instance,
+    Job,
     NaturalSchedule,
+    Trajectory,
     emit_csv,
     emit_svg,
     natural_from_intervals,
     simulate,
 )
+
+from .helpers import natural_cases, normal_cases, reference_emit_csv
 
 F = Fraction
 
@@ -43,6 +51,20 @@ class TestCsv:
         # temperature slope 1/5 -> value at t=5 is exactly 1
         assert rows[2][2] == "1"
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(natural_cases(), normal_cases()), st.booleans())
+    @example((Instance((Job("j1", 1, -1, 1),)), NaturalSchedule({})), False)
+    def test_matches_the_row_wise_reference(self, tmp_path_factory, case, huge):
+        # Times stretched by 10**400 are past the float range and print
+        # through Decimal.
+        traj = simulate(*case)
+        if huge:
+            traj = Trajectory(traj.job_ids, tuple(t * 10**400 for t in traj.breakpoints),
+                              traj.loads, traj.temperatures, traj.works)
+        out = tmp_path_factory.mktemp("csv")
+        emit_csv(traj, out / "columns.csv")
+        reference_emit_csv(traj, out / "rows.csv")
+        assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 class TestSvg:
     def test_panels_and_threshold(self, twin_instance, twin_optimum, tmp_path):
