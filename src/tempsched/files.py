@@ -58,8 +58,7 @@ def _load_json(path: Union[str, Path]) -> Any:
 
 def _write_json(path: Union[str, Path], data: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(data, indent=2) + "\n")
 
 
 def parse_instance(data: Any) -> Instance:

@@ -260,15 +260,21 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
     The sum of completions is sum_i (n - i + 1) D_i, since D_i is part of
     every completion from the i-th on; the makespan is sum_i D_i.
 
-    The LP names a feasible starting basis, `LpProblem.start`: w_j_j in
-    done_j (j >= 2) and D_i in temp_step_i_i. It is the schedule that runs
-    each job alone in its own interval, at the load that keeps its
-    temperature at 0: every T and every w_i_j with i < j is 0, w_j_j = p_j,
-    and D_i = p_i (1 - beta_i/alpha_i) makes temp_step_i_i tight. That D_i
-    is at least p_i (alpha < 0 < beta), so manage_i and rate_i_i hold, and
-    so does every row left at its own slack or surplus. manage_1 and
-    rate_1_1, whose constant w_1_1 gives them a negative right-hand side,
-    keep their surplus.
+    The LP names a feasible starting basis, `LpProblem.start`. It is the
+    schedule that runs each job alone in its own interval, as fast as its
+    threshold allows, so that D_i is the job's one-job minimum makespan q_i
+    (`solvers.min_makespan_single`): w_j_j = p_j is basic in done_j
+    (j >= 2), and every w_i_j with i < j and every T_i_j with i < j is 0.
+      * beta_i p_i <= 1: the job runs flat out. D_i = p_i is basic in
+        rate_i_i (in manage_i when m = 1), and T_i_i = beta_i p_i <= 1 in
+        temp_step_i_i.
+      * beta_i p_i > 1: the job ends at the threshold. D_i = p_i +
+        (beta_i p_i - 1)/|alpha_i| is basic in temp_step_i_i, and T_i_i = 1
+        in temp_cap_i_i.
+    Every other row keeps its slack or surplus. D_i >= p_i, so manage_i
+    and rate_i_j hold; temp_step_i_j for j > i reads alpha D_i <= 0, and
+    T_i_i <= 1. manage_1 and rate_1_1, whose constant w_1_1 gives them a
+    negative right-hand side, keep their surplus unless D_1 is named there.
     """
     n, m = _lp_shape(instance, objective)
     _check_order(n, order)
@@ -312,7 +318,12 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
         obj[_col_d(i)] = Fraction(n - i + 1) if objective == "sum" else one
 
     start = [(_row_done(j), _col_w(n, j, j)) for j in range(2, n + 1)]
-    start += [(_row_step(n, m, i, i), _col_d(i)) for i in range(1, n + 1)]
+    for i, job in enumerate(jobs, 1):
+        d, t, step = _col_d(i), _col_t(n, i, i), _row_step(n, m, i, i)
+        if job.beta * job.p <= 1:
+            start += [(_row_rate(n, i, i) if m > 1 else _row_manage(n, i), d), (step, t)]
+        else:
+            start += [(step, d), (_row_cap(n, m, i, i), t)]
     return LpProblem(tuple(obj), tuple(cons), tuple(start))
 
 

@@ -266,6 +266,17 @@ def lp_rows(n: int, machines: int) -> tuple[str, ...]:
             + tuple(f"temp_cap_{i}_{j}" for i, j in pairs))
 
 
+def threshold_edge_instances(rng: random.Random):
+    """Instances whose jobs sit at beta * p = 1 exactly, the one place the
+    order LPs' start basis changes shape, between jobs on either side of
+    it; n 1..4 and machines 1..3, each with a seeded order."""
+    jobs = [Job("edge", 2, F(-1, 3), F(1, 2)), Job("cool", 1, F(-1), F(1, 3)),
+            Job("hot", 3, F(-1, 2), 1), Job("edge2", F(3, 4), F(-2), F(4, 3))]
+    for n in range(1, 5):
+        for machines in (1, 2, 3):
+            yield Instance(tuple(jobs[:n]), machines), rng.sample(range(n), n)
+
+
 def lemma_assignment(instance: Instance, schedule: NormalSchedule) -> tuple[Fraction, ...]:
     """Map a normal schedule plus its simulated breakpoint temperatures onto
     the order-LP's columns (positions re-indexed along schedule.order), as a

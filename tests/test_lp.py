@@ -26,7 +26,7 @@ from tempsched import (
 from tempsched.duals import OrderDual
 from tempsched.generate import random_instance
 
-from .helpers import certified, lp_columns, lp_rows
+from .helpers import certified, lp_columns, lp_rows, threshold_edge_instances
 
 F = Fraction
 
@@ -58,7 +58,9 @@ class TestBuildOrderLp:
             Constraint(((5, 1),), "<=", 1),
             Constraint(((6, 1),), "<=", 1),
         )
-        assert prob.start == ((0, 3), (3, 0), (5, 1))
+        # beta * p = 2 > 1: each D_i sits in temp_step_i_i, each T_i_i = 1 in
+        # temp_cap_i_i, and w_2_2 in done_2
+        assert prob.start == ((0, 3), (3, 0), (6, 4), (5, 1), (8, 6))
 
     def test_single_easy_job_completes_at_p(self):
         inst = Instance((Job("a", 1, F(-1), 1),))
@@ -359,27 +361,38 @@ class TestSolveGoldenLp:
 
 class TestStartBasis:
     def test_order_lp_starts_one_job_at_a_time(self):
-        # The named basis is the schedule that runs each job alone, at the
-        # load that keeps it at temperature 0; that point is feasible.
+        # The named basis is the schedule that runs each job alone, as fast
+        # as its threshold allows, so that D_j is its one-job minimum
+        # makespan q_j; that point is feasible.
         rng = random.Random(1998)
-        for n in range(1, 6):
-            for machines in (1, 2, 3):
-                for common in (True, False):
-                    inst = random_instance(rng, n, machines, common_rates=common)
-                    order = rng.sample(range(n), n)
-                    prob = build_order_lp(inst, order, "sum")
-                    cols, rows = lp_columns(n), lp_rows(n, machines)
-                    x = [F(0)] * len(cols)
-                    named = {}
-                    for j, k in enumerate(order, 1):
-                        job = inst.jobs[k]
-                        x[cols.index(f"D_{j}")] = job.p * (1 - job.beta / job.alpha)
-                        named[f"temp_step_{j}_{j}"] = f"D_{j}"
-                        if j > 1:
-                            x[cols.index(f"w_{j}_{j}")] = job.p
-                            named[f"done_{j}"] = f"w_{j}_{j}"
-                    assert prob.violated_constraints(x) == []
-                    assert {rows[r]: cols[c] for r, c in prob.start} == named
+        cases = [(random_instance(rng, n, machines, common_rates=common), rng.sample(range(n), n))
+                 for n in range(1, 6) for machines in (1, 2, 3) for common in (True, False)]
+        for inst, order in cases + list(threshold_edge_instances(rng)):
+            n = inst.n
+            m = inst.machines if n > 1 else 1
+            prob = build_order_lp(inst, order, "sum")
+            cols, rows = lp_columns(n), lp_rows(n, m)
+            x = [F(0)] * len(cols)
+            named = {}
+            for j, k in enumerate(order, 1):
+                job = inst.jobs[k]
+                d, t = cols.index(f"D_{j}"), cols.index(f"T_{j}_{j}")
+                x[d] = min_makespan_single(job)
+                if job.beta * job.p <= 1:
+                    assert x[d] == job.p
+                    x[t] = job.beta * job.p
+                    named[f"rate_{j}_{j}" if m > 1 else f"manage_{j}"] = f"D_{j}"
+                    named[f"temp_step_{j}_{j}"] = f"T_{j}_{j}"
+                else:
+                    assert x[d] == job.p + (job.beta * job.p - 1) / -job.alpha
+                    x[t] = F(1)
+                    named[f"temp_step_{j}_{j}"] = f"D_{j}"
+                    named[f"temp_cap_{j}_{j}"] = f"T_{j}_{j}"
+                if j > 1:
+                    x[cols.index(f"w_{j}_{j}")] = job.p
+                    named[f"done_{j}"] = f"w_{j}_{j}"
+            assert prob.violated_constraints(x) == []
+            assert {rows[r]: cols[c] for r, c in prob.start} == named
 
 
 class TestLpProperties:

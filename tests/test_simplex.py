@@ -19,7 +19,7 @@ from tempsched import (
 )
 from tempsched.generate import random_instance
 
-from .helpers import certified, random_small_lp, vertex_minimum
+from .helpers import certified, random_small_lp, threshold_edge_instances, vertex_minimum
 
 F = Fraction
 
@@ -408,22 +408,23 @@ class TestStartBasis:
     nothing where it is refused."""
 
     def test_order_lps_skip_phase_one(self, caplog):
+        # A refused basis falls back to phase 1 without a word, so every
+        # order LP must report its start basis used, jobs at beta * p = 1
+        # and single jobs included.
         rng = random.Random(1992)
+        cases = [(random_instance(rng, n, machines, common_rates=common), rng.sample(range(n), n))
+                 for n in range(1, 9) for machines in (1, 2, 3) for common in (True, False)]
         count = 0
-        for n in range(1, 9):
-            for machines in (1, 2, 3):
-                for common in (True, False):
-                    inst = random_instance(rng, n, machines, common_rates=common)
-                    order = rng.sample(range(n), n)
-                    for objective in ("sum", "makespan"):
-                        prob = build_order_lp(inst, order, objective)
-                        sol, event = _solve_logged(prob, caplog)
-                        assert event == ("used", 0)
-                        assert sol.value == solve_lp(dataclasses.replace(prob, start=())).value
-                        assert dual_bound(prob, sol.y) == sol.value
-                        assert prob.violated_constraints(sol.x) == []
-                        count += 1
-        assert count == 8 * 3 * 2 * 2
+        for inst, order in cases + list(threshold_edge_instances(rng)):
+            for objective in ("sum", "makespan"):
+                prob = build_order_lp(inst, order, objective)
+                sol, event = _solve_logged(prob, caplog)
+                assert event == ("used", 0)
+                assert sol.value == solve_lp(dataclasses.replace(prob, start=())).value
+                assert dual_bound(prob, sol.y) == sol.value
+                assert prob.violated_constraints(sol.x) == []
+                count += 1
+        assert count == (8 * 3 * 2 + 4 * 3) * 2
 
     # min x - y s.t. x + y <= 4 (cap), y <= 5 (ymax), x + y == 3 (sum): rows 0, 1, 2
     HAND = _lp((F(1), F(-1)), [
