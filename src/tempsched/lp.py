@@ -62,10 +62,11 @@ class LpProblem:
     """Minimize objective . x subject to constraints and x >= 0; there is
     one column per objective entry.
 
-    `start` optionally names a starting basis as (row, column) pairs, each
-    column to be made basic in its row; the solver checks it exactly and
-    falls back to its own start where it is singular, incomplete or
-    infeasible.
+    `start` names the solver's starting basis as (row, column) pairs, each
+    column to be made basic in its row; a row it leaves out keeps its
+    slack, so an empty start is the slack basis. The solver checks the
+    basis exactly and raises `InputError` where it is singular, leaves an
+    `==` row out or is infeasible.
     """
 
     objective: tuple[Fraction, ...]
@@ -123,7 +124,7 @@ class LpSolution:
     supplied it.
     """
 
-    status: Literal["optimal", "infeasible", "unbounded"]
+    status: Literal["optimal", "unbounded"]
     value: Fraction | None
     x: tuple[Fraction, ...]
     y: tuple[Fraction, ...] = ()
@@ -271,10 +272,10 @@ def build_order_lp(instance: Instance, order: Sequence[int], objective: Objectiv
       * beta_i p_i > 1: the job ends at the threshold. D_i = p_i +
         (beta_i p_i - 1)/|alpha_i| is basic in temp_step_i_i, and T_i_i = 1
         in temp_cap_i_i.
-    Every other row keeps its slack or surplus. D_i >= p_i, so manage_i
-    and rate_i_j hold; temp_step_i_j for j > i reads alpha D_i <= 0, and
-    T_i_i <= 1. manage_1 and rate_1_1, whose constant w_1_1 gives them a
-    negative right-hand side, keep their surplus unless D_1 is named there.
+    Every other row keeps its slack. D_i >= p_i, so manage_i and rate_i_j
+    hold, manage_1 and rate_1_1 too, whose constant w_1_1 gives them a
+    negative right-hand side; temp_step_i_j for j > i reads alpha D_i <= 0,
+    and T_i_i <= 1.
     """
     n, m = _lp_shape(instance, objective)
     _check_order(n, order)

@@ -1,4 +1,19 @@
-"""Exact LP solving: two-phase simplex on a fraction-free integer tableau.
+"""Exact LP solving: one-phase simplex on a fraction-free integer tableau.
+
+The tableau has one unit column per row after the structural columns: a
+slack for each `<=` row, then a marker for each `==` row, so every slack
+has the same index whatever equalities there are. A marker never enters
+the basis, which keeps its row an equality.
+
+The solve starts from the basis the problem names (`LpProblem.start`;
+every order LP names one, see `lp.build_order_lp`): each named column is
+pivoted into its row in turn, the row negated first where its pivot entry
+is negative, and every row left out keeps its unit column. An empty start
+is the slack basis. The basis is refused with `InputError`, by exact tests,
+where a pivot entry is zero, where an `==` row keeps its marker (no named
+column holds it), or where a right-hand side is negative (the basis is not
+primal feasible). The simplex then runs from that feasible basis, so it
+needs a single phase.
 
 Devex pricing (Harris 1973; Forrest & Goldfarb 1992) picks the entering
 column: among the columns with a negative reduced cost, the one with the
@@ -9,22 +24,6 @@ exact and independent of the pricing. After a run of degenerate pivots,
 Bland's rule picks the entering column until the objective strictly
 improves, so the method terminates on every input. At alternative optima
 the returned vertex depends on the pricing.
-
-Phase 1 minimizes the sum of the artificials; one that leaves the basis
-never re-enters. Phase 2 starts from phase 1's basis with every column of
-positive phase-1 reduced cost banned too (Chvátal 1983, ch. 8): those are 0
-on every feasible point, and while they stay 0 so does every artificial
-still basic, so phase 2 needs no row dropped and no pivot out.
-
-A problem may name a start basis (`LpProblem.start`; every order LP names
-one, see `lp.build_order_lp`). Its columns are pivoted in first, then each
-`>=` row whose artificial is still basic takes its surplus instead. If that
-basis has no artificial and no negative right-hand side, both exact tests,
-it is primal feasible: phase 1 is skipped, and phase 2 starts there with
-every artificial banned and nonbasic, so the duals are read as below. A
-zero pivot entry, an artificial left basic (an equality row no named
-column holds) or a negative value refuses the basis, and the solve then
-starts from the slack basis as if none had been named.
 
 Pivoting is fraction-free (after Edmonds 1967 and Bareiss 1968): each
 tableau row is a sparse map from column to nonzero Python `int`, holding
@@ -39,17 +38,17 @@ unchanged by positive row factors, so the pivots, the vertex and the
 value are those of the rational tableau. Values become `Fraction`s only
 when the optimal vertex is read off.
 
-The optimal duals are read off the final phase-2 reduced-cost row at each
-row's slack or artificial column, undoing the row's sign flip; the cost row
-carries its positive factor in a column no constraint row holds. Phase 2
-bans columns that may keep a negative reduced cost; phase 1's duals, of
-value 0 and positive on those columns, are then added in until none is
-negative, so `y` is always dual feasible (`lp.dual_bound` checks it).
+The optimal duals are read off the final reduced-cost row: row i's unit
+column has objective entry 0 and a single 1, in row i, so its reduced cost
+is `-y_i`. The cost row carries its positive factor in a column no
+constraint row holds. Every column but the markers ends with a nonnegative
+reduced cost, which makes `y_i <= 0` on each `<=` row and `A^T y <= c`;
+an `==` row's dual may take either sign, so `y` is dual feasible
+(`lp.dual_bound` checks it).
 
-`solve_lp` logs one DEBUG event per call to the `tempsched` logger: the
-tableau's rows and columns, whether a start basis was used, refused or
-not named, the pivots of each phase and how many of them Bland's rule
-picked.
+`solve_lp` logs one DEBUG event per solved problem to the `tempsched`
+logger: the status, the tableau's rows and columns, the pivots and how
+many of them Bland's rule picked.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, lcm
 
-from .core import debug
+from .core import InputError, debug
 from .lp import LpProblem, LpSolution, PivotLimitError
 
 _MAX_PIVOTS = 1_000_000
@@ -109,17 +108,18 @@ def _ratio(a, b):
         return inf
 
 
-def _entering(cost, rhs_col, banned, weights, bland):
+def _entering(cost, marker0, weights, bland):
     """The entering column, or None when no reduced cost is negative.
 
-    Candidates are the columns with a negative integer reduced cost. Bland's
-    rule takes the lowest index; Devex takes the largest `d_j**2 / w_j`,
-    ties broken by the lowest index. Each `d_j` is divided by the largest
-    candidate magnitude first, so no conversion overflows and the positive
-    row factor cancels. The score only ranks: a candidate whose score
-    underflows to 0 can still enter.
+    Candidates are the columns before the markers (index `marker0` on) with
+    a negative integer reduced cost. Bland's rule takes the lowest index;
+    Devex takes the largest `d_j**2 / w_j`, ties broken by the lowest
+    index. Each `d_j` is divided by the largest candidate magnitude first,
+    so no conversion overflows and the positive row factor cancels. The
+    score only ranks: a candidate whose score underflows to 0 can still
+    enter.
     """
-    neg = [(j, v) for j, v in cost.items() if v < 0 and j != rhs_col and j not in banned]
+    neg = [(j, v) for j, v in cost.items() if v < 0 and j < marker0]
     if not neg:
         return None
     if bland:
@@ -150,7 +150,7 @@ def _update_weights(weights, prow, enter, leave_col, rhs_col):
     weights[leave_col] = max(1.0, r * r * wq)
 
 
-def _run_simplex(rows, cost, basis, rhs_col, banned, counts):
+def _run_simplex(rows, cost, basis, rhs_col, marker0, counts):
     """Minimize until no negative reduced cost remains.
 
     Devex pricing picks the entering column from float weights; after
@@ -167,7 +167,7 @@ def _run_simplex(rows, cost, basis, rhs_col, banned, counts):
     stall = 0
     for _ in range(_MAX_PIVOTS):
         bland = stall >= _DEGENERATE_RUN
-        enter = _entering(cost, rhs_col, banned, weights, bland)
+        enter = _entering(cost, marker0, weights, bland)
         if enter is None:
             return "optimal", cost
         leave = None
@@ -197,29 +197,27 @@ def _run_simplex(rows, cost, basis, rhs_col, banned, counts):
     )
 
 
-def _start(rows, basis, pivots, art0, rhs_col):
-    """The tableau and basis after pivoting each (row, column) of `pivots`
-    in, or None where that basis is singular, keeps an artificial or is
-    infeasible.
+def _start(rows, basis, pivots, marker0, rhs_col):
+    """Pivot each (row, column) of `pivots` into the tableau in turn.
 
-    A pair pivots only while its row still holds its first basic column, so
-    a row's trailing (row, surplus) pair swaps out an artificial that no
-    named column replaced. A row is negated first where its pivot entry is
-    negative, since `_eliminate` needs a positive one; every test is exact.
+    A row is negated first where its pivot entry is negative, since
+    `_eliminate` needs a positive one. Raises `InputError` where the basis
+    has a zero pivot entry, leaves an `==` row its marker or has a negative
+    right-hand side; every test is exact.
     """
-    rows, basis, first = list(rows), list(basis), list(basis)
     for r, col in pivots:
-        if basis[r] != first[r]:
-            continue
         a = rows[r].get(col, 0)
         if not a:
-            return None
+            raise InputError(f"start basis refused: row {r} has a zero pivot entry in column {col}")
         if a < 0:
             rows[r] = {j: -v for j, v in rows[r].items()}
         _pivot(rows, basis, r, col)
-    if any(b >= art0 for b in basis) or any(row.get(rhs_col, 0) < 0 for row in rows):
-        return None
-    return rows, basis
+    for r, b in enumerate(basis):
+        if b >= marker0:
+            raise InputError(f"start basis refused: equality row {r} names no column")
+    for r, row in enumerate(rows):
+        if row.get(rhs_col, 0) < 0:
+            raise InputError(f"start basis refused: it is infeasible in row {r}")
 
 
 def _scaled_ints(values):
@@ -237,96 +235,38 @@ def _reduced_costs(objective, rows, basis):
     return cost
 
 
-def _prices(cost, starts, art0, scale_col, art_cost):
-    """The simplex multipliers of the rows as set up, read off a final cost row.
-
-    Row i's first basic column is its slack or artificial, with coefficient
-    1 in row i only before the row was scaled by a positive factor, so its
-    reduced cost is its objective coefficient (`art_cost` for an
-    artificial, 0 for a slack) minus row i's multiplier; the factor scales
-    the column and the row alike and cancels.
-    """
-    scale = cost[scale_col]
-    return [
-        Fraction((art_cost if b >= art0 else 0) * scale - cost.get(b, 0), scale)
-        for b in starts
-    ]
-
-
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve min c.x s.t. the problem's constraints and x >= 0, exactly.
+    """Solve min c.x s.t. the problem's constraints and x >= 0, exactly,
+    from the start basis the problem names.
 
     Returns an optimal vertex, one value per column, with optimal duals,
     one per constraint, or a solution object whose status reports
-    infeasibility/unboundedness.
+    unboundedness. Raises `InputError` where the start basis is refused.
     """
     nstruct = len(problem.objective)
+    constraints = problem.constraints
 
-    # Column layout: structural vars, one slack/surplus per inequality,
-    # then artificials; the RHS sits in column `rhs_col`, after all of them.
-    specs = []
-    for con in problem.constraints:
-        coeffs = {v: c for v, c in con.coeffs if c != 0}
-        rel, rhs = con.relation, con.rhs
-        if rhs < 0:
-            rhs = -rhs
-            coeffs = {v: -c for v, c in coeffs.items()}
-            rel = ">=" if rel == "<=" else "=="
-        specs.append((coeffs, rel, rhs))
-    nslack = sum(1 for _, rel, _ in specs if rel in ("<=", ">="))
-    narts = sum(1 for _, rel, _ in specs if rel != "<=")
-    rhs_col = nstruct + nslack + narts
+    # Column layout: structural vars, a slack per `<=` row, then a marker per
+    # `==` row; the RHS sits in column `rhs_col`, after all of them.
+    marker0 = nstruct + sum(con.relation == "<=" for con in constraints)
+    rhs_col = nstruct + len(constraints)
     # No row holds this column, so a cost row's entry there is its scale.
     scale_col = rhs_col + 1
 
-    rows = []
-    basis = []
-    slack_idx = nstruct
-    art0 = art_idx = nstruct + nslack
-    art_cols = []
-    surplus = []
-    for coeffs, rel, rhs in specs:
-        row = {**coeffs, rhs_col: rhs}
-        if rel != "==":
-            row[slack_idx] = 1 if rel == "<=" else -1
-            slack_idx += 1
-        if rel == "<=":
-            basis.append(slack_idx - 1)
-        else:
-            if rel == ">=":
-                surplus.append((len(rows), slack_idx - 1))
-            row[art_idx] = 1
-            basis.append(art_idx)
-            art_cols.append(art_idx)
-            art_idx += 1
-        rows.append(_scaled_ints(row))
-    starts = list(basis)
+    slacks, markers = iter(range(nstruct, marker0)), iter(range(marker0, rhs_col))
+    units = [next(slacks if con.relation == "<=" else markers) for con in constraints]
+    rows = [
+        _scaled_ints(dict(con.coeffs) | {unit: 1, rhs_col: con.rhs})
+        for con, unit in zip(constraints, units)
+    ]
+    basis = list(units)
+    _start(rows, basis, problem.start, marker0, rhs_col)
 
-    started = problem.start and _start(rows, basis, problem.start + tuple(surplus), art0, rhs_col)
-    if started:
-        rows, basis = started
-    # An artificial that leaves the basis never re-enters.
-    banned = set(art_cols)
-    phase1, phase2 = [0, 0], [0, 0]
-    status = "optimal"
-    cost1 = None
-    if art_cols and not started:
-        cost = _reduced_costs({a: 1 for a in art_cols} | {scale_col: 1}, rows, basis)
-        status, cost1 = _run_simplex(rows, cost, basis, rhs_col, banned, phase1)
-        if status != "optimal" or cost1.get(rhs_col, 0) < 0:
-            status = "infeasible"
-        else:
-            # Keeps every artificial still basic at zero (see the module notes).
-            banned.update(j for j, v in cost1.items() if v > 0 and j < rhs_col)
-
-    if status == "optimal":
-        cost = _reduced_costs(dict(enumerate(problem.objective)) | {scale_col: 1}, rows, basis)
-        status, cost = _run_simplex(rows, cost, basis, rhs_col, banned, phase2)
-    debug(
-        "solve_lp %s: %d rows, %d columns, start basis %s, pivots phase 1 %d, phase 2 %d, Bland %d",
-        status, len(specs), rhs_col, "used" if started else "refused" if problem.start else "none",
-        phase1[0], phase2[0], phase1[1] + phase2[1],
-    )
+    counts = [0, 0]
+    cost = _reduced_costs(dict(enumerate(problem.objective)) | {scale_col: 1}, rows, basis)
+    status, cost = _run_simplex(rows, cost, basis, rhs_col, marker0, counts)
+    debug("solve_lp %s: %d rows, %d columns, pivots %d, Bland %d",
+          status, len(constraints), rhs_col, *counts)
     if status != "optimal":
         return LpSolution(status, None, ())
 
@@ -334,17 +274,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     for row, b in zip(rows, basis):
         if b < nstruct:
             x[b] = Fraction(row.get(rhs_col, 0), row[b])
-    y = _prices(cost, starts, art0, scale_col, 0)
-    # A banned column may end phase 2 with a negative reduced cost. Phase 1's
-    # prices have value 0 and a positive reduced cost on every banned column,
-    # so adding enough of them makes every reduced cost nonnegative.
-    short = [j for j in banned if j < art0 and cost.get(j, 0) < 0]
-    if short:
-        y1 = _prices(cost1, starts, art0, scale_col, 1)
-        t = max(
-            Fraction(-cost[j] * cost1[scale_col], cost[scale_col] * cost1[j]) for j in short
-        )
-        y = [a + t * b for a, b in zip(y, y1)]
-    signs = [-1 if con.rhs < 0 else 1 for con in problem.constraints]
-    y = tuple(v * s for v, s in zip(y, signs))
+    scale = cost[scale_col]
+    y = tuple(Fraction(-cost.get(u, 0), scale) for u in units)
     return LpSolution("optimal", problem.objective_value(x), tuple(x), y)

@@ -99,18 +99,8 @@ def vertex_minimum(problem: LpProblem):
     problem is bounded).
     """
     nvars = len(problem.objective)
-    n_ineq = sum(1 for c in problem.constraints if c.relation == "<=")
-    total = nvars + n_ineq
-    rows = []
-    slack = 0
-    for con in problem.constraints:
-        dense = [F(0)] * total
-        for i, coeff in con.coeffs:
-            dense[i] = coeff
-        if con.relation == "<=":
-            dense[nvars + slack] = F(1)
-            slack += 1
-        rows.append(dense + [con.rhs])
+    total = nvars + sum(con.relation == "<=" for con in problem.constraints)
+    rows = _dense_rows(problem)
 
     reduced = _row_reduce(rows, total)
     if reduced is None:
@@ -130,6 +120,26 @@ def vertex_minimum(problem: LpProblem):
     if best is None:
         return "infeasible", None
     return "optimal", best
+
+
+def _dense_rows(problem: LpProblem):
+    """[A | I | b] as lists of `Fraction`s: one row per constraint, the
+    structural columns, then one slack column per `<=` row, then the
+    right-hand side."""
+    cons = problem.constraints
+    nvars = len(problem.objective)
+    slacks = [r for r, con in enumerate(cons) if con.relation == "<="]
+    width = nvars + len(slacks)
+    rows = []
+    for r, con in enumerate(cons):
+        dense = [F(0)] * (width + 1)
+        for i, coeff in con.coeffs:
+            dense[i] = coeff
+        if con.relation == "<=":
+            dense[nvars + slacks.index(r)] = F(1)
+        dense[width] = con.rhs
+        rows.append(dense)
+    return rows
 
 
 def _row_reduce(rows, width):
@@ -180,6 +190,50 @@ def _solve_basis(reduced, basis, width):
     for i, col in enumerate(basis):
         x[col] = sub[i][-1]
     return x
+
+
+def feasible_start(problem: LpProblem):
+    """The first feasible basis of `problem` as `LpProblem.start` pairs, or
+    None where there is none.
+
+    A basis is a choice of as many columns as there are rows, from the
+    structural columns and the slacks of the `<=` rows, tried in
+    `itertools.combinations` order. The rows whose slack is not chosen,
+    every `==` row among them, pair with the chosen structural columns by
+    Gauss-Jordan elimination over `Fraction`s: each such row, in row order,
+    takes the first unused chosen column with a nonzero entry in it. The
+    basis is singular where some row finds none, and feasible where every
+    basic value is nonnegative. Shares no code with the simplex, so it
+    serves as the oracle's way into `solve_lp`, which needs a start.
+    """
+    cons = problem.constraints
+    nvars = len(problem.objective)
+    slack_of = [r for r, con in enumerate(cons) if con.relation == "<="]
+    width = nvars + len(slack_of)
+    table = _dense_rows(problem)
+    for basis in itertools.combinations(range(width), len(cons)):
+        kept = {slack_of[c - nvars] for c in basis if c >= nvars}
+        free = [c for c in basis if c < nvars]
+        mat = [row[:] for row in table]
+        pairs = []
+        for r in range(len(cons)):
+            if r in kept:
+                continue
+            col = next((c for c in free if mat[r][c] != 0), None)
+            if col is None:
+                break
+            free.remove(col)
+            piv = mat[r][col]
+            mat[r] = [v / piv for v in mat[r]]
+            for i, row in enumerate(mat):
+                if i != r and row[col] != 0:
+                    f = row[col]
+                    mat[i] = [a - f * b for a, b in zip(row, mat[r])]
+            pairs.append((r, col))
+        else:
+            if all(row[width] >= 0 for row in mat):
+                return tuple(pairs)
+    return None
 
 
 def random_small_lp(rng: random.Random) -> LpProblem:

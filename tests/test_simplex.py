@@ -9,6 +9,7 @@ import pytest
 
 from tempsched import (
     Constraint,
+    InputError,
     LpProblem,
     PivotLimitError,
     SchedulingError,
@@ -19,7 +20,9 @@ from tempsched import (
 )
 from tempsched.generate import random_instance
 
-from .helpers import certified, random_small_lp, threshold_edge_instances, vertex_minimum
+from .helpers import (
+    certified, feasible_start, random_small_lp, threshold_edge_instances, vertex_minimum,
+)
 
 F = Fraction
 
@@ -30,8 +33,19 @@ def _every_optimum_certified(monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "solve_lp", certified(solve_lp))
 
 
-def _lp(objective, constraints):
-    return LpProblem(tuple(objective), tuple(constraints))
+def _lp(objective, constraints, start=()):
+    return LpProblem(tuple(objective), tuple(constraints), start)
+
+
+def _from_feasible_start(prob):
+    """`prob` started at `feasible_start(prob)`, or None where it has no
+    feasible basis, after checking that `solve_lp` then refuses it."""
+    start = feasible_start(prob)
+    if start is None:
+        with pytest.raises(InputError):
+            solve_lp(prob)
+        return None
+    return dataclasses.replace(prob, start=start)
 
 
 # Non-integer factors; 113 and 999999937 are prime, so denominators grow fast.
@@ -69,8 +83,9 @@ def _rescaled(prob, rng, scales=SCALES):
 
 class TestBasics:
     def test_min_x_at_least_three(self):
-        # x >= 3 written as -x <= -3, exercising the artificial-variable path
-        prob = _lp((F(1),), [Constraint(((0, F(-1)),), "<=", F(-3))])
+        # x >= 3 written as -x <= -3: the slack basis is infeasible, so the
+        # start makes x basic in that row, negating it
+        prob = _lp((F(1),), [Constraint(((0, F(-1)),), "<=", F(-3))], ((0, 0),))
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         assert sol.value == 3
@@ -83,7 +98,7 @@ class TestBasics:
         assert sol.value == -5
 
     def test_unbounded(self):
-        prob = _lp((F(-1),), [Constraint(((0, F(-1)),), "<=", F(-1))])
+        prob = _lp((F(-1),), [Constraint(((0, F(-1)),), "<=", F(-1))], ((0, 0),))
         assert solve_lp(prob).status == "unbounded"
 
     def test_unbounded_unconstrained_variable(self):
@@ -91,33 +106,25 @@ class TestBasics:
         assert solve_lp(prob).status == "unbounded"
 
     def test_infeasible_negative_equality(self):
+        # no x >= 0 has x == -2, so every start is refused
         prob = _lp((F(1),), [Constraint(((0, F(1)),), "==", F(-2))])
-        assert solve_lp(prob).status == "infeasible"
+        for start in ((), ((0, 0),)):
+            with pytest.raises(InputError):
+                solve_lp(dataclasses.replace(prob, start=start))
 
     def test_infeasible_conflicting_rows(self):
         prob = _lp((F(0),), [
             Constraint(((0, F(1)),), "<=", F(1)),
             Constraint(((0, F(-1)),), "<=", F(-2)),
         ])
-        assert solve_lp(prob).status == "infeasible"
-
-    def test_redundant_equalities_ok(self):
-        prob = _lp((F(1), F(1)), [
-            Constraint(((0, F(1)), (1, F(1))), "==", F(4)),
-            Constraint(((0, F(2)), (1, F(2))), "==", F(8)),
-        ])
-        sol = solve_lp(prob)
-        assert sol.status == "optimal"
-        assert sol.value == 4
+        for start in ((), ((0, 0),), ((1, 0),)):
+            with pytest.raises(InputError, match="infeasible"):
+                solve_lp(dataclasses.replace(prob, start=start))
 
     def test_empty_row_never_satisfied_is_infeasible(self):
         prob = _lp((F(1),), [Constraint((), "<=", F(-1))])
-        assert solve_lp(prob).status == "infeasible"
-
-    def test_empty_row_always_satisfied_is_dropped(self):
-        prob = _lp((F(1),), [Constraint((), "==", F(0))])
-        sol = solve_lp(prob)
-        assert (sol.status, sol.value, sol.x) == ("optimal", 0, (F(0),))
+        with pytest.raises(InputError, match="infeasible"):
+            solve_lp(prob)
 
     def test_two_variable_classic(self):
         # min -(3x + 5y) s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6)
@@ -133,7 +140,7 @@ class TestBasics:
     def test_fractional_data_stays_exact(self):
         prob = _lp((F(1, 3), F(1, 7)), [
             Constraint(((0, F(-2, 5)), (1, F(-1, 11))), "<=", F(-1)),
-        ])
+        ], ((0, 1),))
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         # cheapest per unit of constraint coverage: x (rate (1/3)/(2/5) < (1/7)/(1/11))
@@ -154,20 +161,22 @@ class TestBasics:
         prob = _lp((F(1), F(1)), [
             Constraint(((0, F(0)), (1, F(1))), "==", F(2)),
         ])
-        sol = solve_lp(prob)
+        with pytest.raises(InputError, match="zero pivot"):
+            solve_lp(dataclasses.replace(prob, start=((0, 0),)))
+        sol = solve_lp(dataclasses.replace(prob, start=((0, 1),)))
         assert sol.status == "optimal"
         assert sol.x == (F(0), F(2))
 
     def test_implied_equality_driven_out_on_negative_entry(self):
         # cap and x, y >= 0 already force x = y = 0, so "implied" is redundant.
-        # Its row has only negative structural entries, so x and y get positive
-        # phase-1 reduced costs: phase 1 ends with its artificial basic at zero,
-        # and banning x and y keeps it there through phase 2.
+        # Its row has only negative structural entries; the start negates it
+        # to hold x there at 0, a degenerate basis, and its marker never
+        # enters, so x and y stay 0 through the solve.
         prob = _lp((F(1), F(2), F(1, 999999937)), [
             Constraint(((0, F(355, 113)), (1, F(1, 999999937))), "<=", F(0)),
             Constraint(((0, F(-355, 113)), (1, F(-2, 999999937))), "==", F(0)),
             Constraint(((2, F(-22, 7)),), "<=", F(-355, 113)),
-        ])
+        ], ((1, 0), (2, 2)))
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         assert sol.x == (F(0), F(0), F(2485, 2486))
@@ -175,35 +184,38 @@ class TestBasics:
 
     def test_pivot_cap_raises_typed_error(self, monkeypatch):
         monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
-        prob = _lp((F(1),), [Constraint(((0, F(-1)),), "<=", F(-3))])
         with pytest.raises(PivotLimitError):
-            solve_lp(prob)
+            solve_lp(BEALE)
         assert issubclass(PivotLimitError, SchedulingError)
 
     def test_assignment_covers_all_variables(self):
         prob = _lp((F(1), F(1), F(0)), [
             Constraint(((0, F(2)),), "==", F(6)),
-        ])
+        ], ((0, 0),))
         sol = solve_lp(prob)
         assert sol.x == (F(3), F(0), F(0))
 
 
 class TestAgainstVertexEnumeration:
+    """`solve_lp` from `feasible_start`'s basis against `vertex_minimum`;
+    where there is no feasible basis (an infeasible LP, or a redundant `==`
+    row that no basis can name), `solve_lp` must refuse the LP."""
+
     def test_random_lps_match_oracle(self):
         rng = random.Random(2024)
         optimal = infeasible = 0
         for _ in range(120):
-            prob = random_small_lp(rng)
+            base = random_small_lp(rng)
+            status, value = vertex_minimum(base)
+            prob = _from_feasible_start(base)
+            if prob is None:
+                infeasible += status == "infeasible"
+                continue
             sol = solve_lp(prob)
-            status, value = vertex_minimum(prob)
-            assert sol.status == status, (prob, sol.status, status)
-            if status == "optimal":
-                optimal += 1
-                assert sol.value == value
-                assert prob.violated_constraints(sol.x) == []
-                assert prob.objective_value(sol.x) == sol.value
-            else:
-                infeasible += 1
+            assert (sol.status, sol.value) == (status, value), (prob, sol.status, status)
+            optimal += 1
+            assert prob.violated_constraints(sol.x) == []
+            assert prob.objective_value(sol.x) == sol.value
         # the generator should exercise both outcomes
         assert optimal >= 30
         assert infeasible >= 5
@@ -215,17 +227,18 @@ class TestAgainstVertexEnumeration:
         optimal = infeasible = 0
         for _ in range(120):
             base = random_small_lp(rng)
-            prob = _rescaled(base, rng)
+            rescaled = _rescaled(base, rng)
+            status, value = vertex_minimum(rescaled)
+            prob = _from_feasible_start(rescaled)
+            if prob is None:
+                infeasible += status == "infeasible"
+                continue
             sol = solve_lp(prob)
-            status, value = vertex_minimum(prob)
-            assert sol.status == status, (prob, sol.status, status)
-            if status == "optimal":
-                optimal += 1
-                assert sol.value == value == solve_lp(base).value
-                assert prob.violated_constraints(sol.x) == []
-                assert prob.objective_value(sol.x) == sol.value
-            else:
-                infeasible += 1
+            assert (sol.status, sol.value) == (status, value), (prob, sol.status, status)
+            optimal += 1
+            assert sol.value == solve_lp(_from_feasible_start(base)).value
+            assert prob.violated_constraints(sol.x) == []
+            assert prob.objective_value(sol.x) == sol.value
         assert optimal >= 30
         assert infeasible >= 5
 
@@ -245,14 +258,16 @@ class TestAgainstVertexEnumeration:
         optimal = 0
         for _ in range(60):
             base = random_small_lp(rng)
-            prob = _rescaled(base, rng, HUGE_SCALES)
+            rescaled = _rescaled(base, rng, HUGE_SCALES)
+            status, value = vertex_minimum(rescaled)
+            prob = _from_feasible_start(rescaled)
+            if prob is None:
+                continue
             sol = solve_lp(prob)
-            status, value = vertex_minimum(prob)
-            assert sol.status == status, (prob, sol.status, status)
-            if status == "optimal":
-                optimal += 1
-                assert sol.value == value == solve_lp(base).value
-                assert prob.violated_constraints(sol.x) == []
+            assert (sol.status, sol.value) == (status, value), (prob, sol.status, status)
+            optimal += 1
+            assert sol.value == solve_lp(_from_feasible_start(base)).value
+            assert prob.violated_constraints(sol.x) == []
         assert optimal >= 15
 
 
@@ -284,6 +299,9 @@ class TestPricing:
             prob = random_small_lp(rng)
             if rng.random() < 0.5:
                 prob = _rescaled(prob, rng)
+            prob = _from_feasible_start(prob)
+            if prob is None:
+                continue
             devex, bland = solve_lp(prob), self._bland(prob, monkeypatch)
             assert (devex.status, devex.value) == (bland.status, bland.value)
 
@@ -317,14 +335,16 @@ class TestPricing:
         monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 1)
         with caplog.at_level(logging.DEBUG, logger="tempsched"):
             solve_lp(BEALE)
-            solve_lp(_lp((F(1),), [Constraint(((0, F(1)),), "==", F(-2))]))
+            beale_pivots = len(pivots)
+            # a refused start raises before the simplex runs, and logs nothing
+            with pytest.raises(InputError):
+                solve_lp(_lp((F(1),), [Constraint(((0, F(1)),), "==", F(-2))], ((0, 0),)))
         records = [r for r in caplog.records if r.name == "tempsched"]
-        assert [r.levelno for r in records] == [logging.DEBUG] * 2
-        status, rows, columns, start, phase1, phase2, bland = records[0].args
-        assert (status, rows, columns, start, phase1) == ("optimal", 3, 7, "none", 0)
-        assert phase2 == len(pivots) and 0 < bland <= phase2
+        assert [r.levelno for r in records] == [logging.DEBUG]
+        status, rows, columns, made, bland = records[0].args
+        assert (status, rows, columns) == ("optimal", 3, 7)
+        assert made == beale_pivots and 0 < bland <= made
         assert "Bland" in records[0].getMessage()
-        assert records[1].args[:5] == ("infeasible", 1, 2, "none", 0)
 
 
 def _seeded_order_lps(per_instance):
@@ -356,25 +376,27 @@ class TestDualCertificate:
 
     def test_zero_optimum(self):
         # min x - y s.t. y <= x, x <= 2, y >= 1: the optimum 0 is at x = y, and
-        # the only optimal dual is (-1, 0, 0); the last row needs an artificial.
+        # the only optimal dual is (-1, 0, 0); the last row's slack basis is
+        # infeasible, so the start names x = y = 1.
         prob = _lp((F(1), F(-1)), [
             Constraint(((0, F(-1)), (1, F(1))), "<=", F(0)),
             Constraint(((0, F(1)),), "<=", F(2)),
             Constraint(((1, F(-3, 7)),), "<=", F(-3, 7)),
-        ])
+        ], ((0, 0), (2, 1)))
         sol = solve_lp(prob)
         assert sol.value == 0
         assert sol.y == (F(-1), F(0), F(0))
         assert dual_bound(prob, sol.y) == 0
 
     def test_banned_columns_keep_the_dual_feasible(self):
-        # Phase 1 bans x and y (both 0 on every feasible point); phase 2's own
-        # prices leave x's reduced cost negative, so phase 1's are added in.
+        # x and y are 0 on every feasible point, and x alone has a negative
+        # cost. The equality's marker is banned, so it never enters; the
+        # dual read at it is free in sign, as an equality's dual may be.
         prob = _lp((F(-1), F(2), F(1)), [
             Constraint(((0, F(1)), (1, F(1))), "<=", F(0)),
             Constraint(((0, F(-1)), (1, F(-2))), "==", F(0)),
             Constraint(((2, F(-1)),), "<=", F(-1)),
-        ])
+        ], ((1, 0), (2, 2)))
         sol = solve_lp(prob)
         assert (sol.value, sol.x) == (1, (F(0), F(0), F(1)))
         assert dual_bound(prob, sol.y) == 1
@@ -394,23 +416,14 @@ class TestDualCertificate:
         assert mutants > 100
 
 
-def _solve_logged(prob, caplog):
-    """The solution and the (start, phase-1 pivots) of its one DEBUG event."""
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="tempsched"):
-        sol = solve_lp(prob)
-    (event,) = [r for r in caplog.records if r.getMessage().startswith("solve_lp")]
-    return sol, event.args[3:5]
-
-
 class TestStartBasis:
-    """A named start basis skips phase 1 where it is feasible, and changes
-    nothing where it is refused."""
+    """The solve starts at the basis the problem names: every order LP's is
+    accepted, and a refused one raises `InputError`."""
 
-    def test_order_lps_skip_phase_one(self, caplog):
-        # A refused basis falls back to phase 1 without a word, so every
-        # order LP must report its start basis used, jobs at beta * p = 1
-        # and single jobs included.
+    def test_order_lps_skip_phase_one(self):
+        # There is no phase 1 to fall back on, so every order LP's start
+        # must pass the exact checks, jobs at beta * p = 1 and single jobs
+        # included.
         rng = random.Random(1992)
         cases = [(random_instance(rng, n, machines, common_rates=common), rng.sample(range(n), n))
                  for n in range(1, 9) for machines in (1, 2, 3) for common in (True, False)]
@@ -418,9 +431,8 @@ class TestStartBasis:
         for inst, order in cases + list(threshold_edge_instances(rng)):
             for objective in ("sum", "makespan"):
                 prob = build_order_lp(inst, order, objective)
-                sol, event = _solve_logged(prob, caplog)
-                assert event == ("used", 0)
-                assert sol.value == solve_lp(dataclasses.replace(prob, start=())).value
+                sol = solve_lp(prob)
+                assert sol.status == "optimal"
                 assert dual_bound(prob, sol.y) == sol.value
                 assert prob.violated_constraints(sol.x) == []
                 count += 1
@@ -432,23 +444,33 @@ class TestStartBasis:
         Constraint(((1, F(1)),), "<=", F(5)),
         Constraint(((0, F(1)), (1, F(1))), "==", F(3)),
     ])
+    # x + y == 4 twice over: no basis names both rows
+    REDUNDANT = _lp((F(1), F(1)), [
+        Constraint(((0, F(1)), (1, F(1))), "==", F(4)),
+        Constraint(((0, F(2)), (1, F(2))), "==", F(8)),
+    ])
+    # 0 == 0: a row no column can hold
+    EMPTY = _lp((F(1),), [Constraint((), "==", F(0))])
 
-    @pytest.mark.parametrize("start", [
-        ((1, 0), (2, 1)),  # ymax holds no x: a zero pivot entry
-        ((1, 1), (2, 0)),  # y = 5 leaves x = -2 in the sum row: infeasible
-        ((0, 0),),  # the equality row keeps its artificial
-    ], ids=["zero-pivot", "infeasible", "equality-unnamed"])
-    def test_refused_start_changes_nothing(self, caplog, start):
-        plain, event = _solve_logged(self.HAND, caplog)
-        assert event[0] == "none"
-        hinted, event = _solve_logged(dataclasses.replace(self.HAND, start=start), caplog)
-        assert event[0] == "refused"
-        assert hinted == plain
-        assert (plain.value, plain.x) == (-3, (F(0), F(3)))
+    @pytest.mark.parametrize("prob, start, reason", [
+        (HAND, ((1, 0), (2, 1)), "zero pivot"),  # ymax holds no x
+        (HAND, ((1, 1), (2, 0)), "infeasible"),  # y = 5 leaves x = -2 in the sum row
+        (HAND, ((0, 0),), "names no column"),  # the sum row keeps its marker
+        (HAND, (), "names no column"),  # the slack basis is feasible but leaves sum out
+        (REDUNDANT, ((0, 0),), "names no column"),
+        (EMPTY, (), "names no column"),
+    ], ids=["zero-pivot", "infeasible", "equality-unnamed", "slack-basis", "redundant-equality",
+            "empty-equality"])
+    def test_refused_start_changes_nothing(self, caplog, prob, start, reason):
+        # the refusal comes before the simplex runs: no solve is logged
+        with caplog.at_level(logging.DEBUG, logger="tempsched"):
+            with pytest.raises(InputError, match=reason):
+                solve_lp(dataclasses.replace(prob, start=start))
+        assert not [r for r in caplog.records if r.name == "tempsched"]
 
-    def test_feasible_start_on_a_hand_lp(self, caplog):
-        # y = 3 in the sum row, x = 0: both `<=` rows keep their slack
-        sol, event = _solve_logged(dataclasses.replace(self.HAND, start=((2, 1),)), caplog)
-        assert event == ("used", 0)
+    def test_feasible_start_on_a_hand_lp(self):
+        # y = 3 in the sum row, x = 0: both `<=` rows keep their slack, so
+        # their duals are 0, and the sum row's is -1
+        sol = solve_lp(dataclasses.replace(self.HAND, start=((2, 1),)))
         assert (sol.value, sol.x) == (-3, (F(0), F(3)))
-        assert sol.y == solve_lp(self.HAND).y
+        assert sol.y == (F(0), F(0), F(-1))

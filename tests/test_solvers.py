@@ -240,7 +240,7 @@ class TestCertifiedOptima:
 
 class TestNonOptimalOrderLp:
     def test_every_order_lp_solver_raises_no_schedule_error(self, twin_instance, monkeypatch):
-        monkeypatch.setattr(solvers, "solve_lp", lambda problem: LpSolution("infeasible", None, ()))
+        monkeypatch.setattr(solvers, "solve_lp", lambda problem: LpSolution("unbounded", None, ()))
         for solve in (solve_sum, solve_sum_bruteforce, min_makespan_over_orders):
             with pytest.raises(NoScheduleError):
                 solve(twin_instance)
