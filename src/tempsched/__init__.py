@@ -20,7 +20,6 @@ from .core import (
     Trajectory,
     as_rational,
     loads_from_normal,
-    natural_from_intervals,
     validate_normal_schedule,
 )
 from .discretize import (
@@ -106,7 +105,6 @@ __all__ = [
     "loads_from_normal",
     "min_makespan_over_orders",
     "min_makespan_single",
-    "natural_from_intervals",
     "parse_instance",
     "parse_schedule",
     "save_instance",

@@ -6,7 +6,8 @@ Two schedule forms exist side by side:
 * `NormalSchedule` -- fractional loads, constant between consecutive
   completion times, parameterized by the completion vector and the
   cumulative-work matrix at those times.
-* `NaturalSchedule` -- on/off processing given by half-open intervals.
+* `NaturalSchedule` -- on/off processing given by half-open intervals;
+  its constructor is the one place that parses, sorts and merges them.
 
 Neither type knows the machine count; `check_feasibility` judges whether a
 schedule loads more than `m` jobs at once.
@@ -267,27 +268,44 @@ class NaturalSchedule:
     """On/off schedule: per job id, sorted disjoint half-open [start, end)
     intervals during which the job is fully loaded.
 
-    Only the intervals' own shape is checked here; how many jobs run at once
-    is a verdict of `check_feasibility`, against the instance's machines."""
+    The constructor takes any mapping of job id to (start, end) pairs, in
+    any order, and keeps each job's sorted union: overlapping or touching
+    spans fuse. Each endpoint is parsed once by `as_rational`, then sorted
+    and merged as integers on the lcm of that job's denominators. It raises
+    InputError for an id that is not a non-empty string, a span that is not
+    a pair, an unparsable endpoint, an empty or reversed span, and a span
+    that starts before t=0. How many jobs run at once is a verdict of
+    `check_feasibility`, against the instance's machines."""
 
     intervals: dict[str, tuple[Interval, ...]]
 
     def __post_init__(self):
         cleaned: dict[str, tuple[Interval, ...]] = {}
         for job_id, spans in self.intervals.items():
+            if not isinstance(job_id, str) or not job_id:
+                raise InputError("job id must be a non-empty string")
             start, end = f"job {job_id}: interval start", f"job {job_id}: interval end"
-            spans = tuple((as_rational(a, start), as_rational(b, end)) for a, b in spans)
-            scaled = _on_grid([t for span in spans for t in span])
-            prev_end = None
-            for (a, b), x, y in zip(spans, scaled[::2], scaled[1::2]):
-                if x < 0:
-                    raise InputError(f"job {job_id}: interval starts before t=0")
+            not_pairs = f"job {job_id}: intervals must be [start, end] pairs"
+            if isinstance(spans, (str, Mapping)) or not isinstance(spans, Iterable):
+                raise InputError(not_pairs)
+            times: list[Fraction] = []
+            for span in spans:
+                if not isinstance(span, (tuple, list)) or len(span) != 2:
+                    raise InputError(not_pairs)
+                times += (as_rational(span[0], start), as_rational(span[1], end))
+            scaled = _scaled(times, math.lcm(*(t.denominator for t in times)))
+            at = dict(zip(scaled, times))
+            merged: list[list[int]] = []
+            for x, y in sorted(zip(scaled[::2], scaled[1::2])):
                 if x >= y:
-                    raise InputError(f"job {job_id}: empty or reversed interval [{a}, {b})")
-                if prev_end is not None and x < prev_end:
-                    raise InputError(f"job {job_id}: intervals overlap or are unsorted at t={a}")
-                prev_end = y
-            cleaned[job_id] = spans
+                    raise InputError(f"job {job_id}: empty or reversed interval [{at[x]}, {at[y]})")
+                if merged and x <= merged[-1][1]:
+                    merged[-1][1] = max(merged[-1][1], y)
+                else:
+                    merged.append([x, y])
+            if merged and merged[0][0] < 0:
+                raise InputError(f"job {job_id}: interval starts before t=0")
+            cleaned[job_id] = tuple((at[x], at[y]) for x, y in merged)
         object.__setattr__(self, "intervals", cleaned)
 
     def for_job(self, job_id: str) -> tuple[Interval, ...]:
@@ -297,45 +315,6 @@ class NaturalSchedule:
 def _scaled(values, den: int) -> list[int]:
     """Each Fraction times den, a multiple of every one's denominator."""
     return [v.numerator * (den // v.denominator) for v in values]
-
-
-def _on_grid(times: Sequence[Fraction]) -> list[int]:
-    """`times` scaled by the lcm of their denominators: integers that sort
-    and compare as the times do."""
-    return _scaled(times, math.lcm(*(t.denominator for t in times)))
-
-
-def _merge_intervals(
-    job_id: str, spans: Iterable[tuple[RationalLike, RationalLike]],
-) -> tuple[Interval, ...]:
-    """Sort and union one job's intervals; touching half-open intervals fuse.
-
-    Each endpoint is parsed once; sorting and merging run on the endpoints
-    scaled by `_on_grid`, and the merged spans keep the parsed `Fraction`s."""
-    start, end = f"job {job_id}: interval start", f"job {job_id}: interval end"
-    times: list[Fraction] = []
-    for a, b in spans:
-        times += (as_rational(a, start), as_rational(b, end))
-    scaled = _on_grid(times)
-    at = dict(zip(scaled, times))
-    merged: list[list[int]] = []
-    for x, y in sorted(zip(scaled[::2], scaled[1::2])):
-        if x >= y:
-            raise InputError(f"job {job_id}: empty or reversed interval [{at[x]}, {at[y]})")
-        if merged and x <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], y)
-        else:
-            merged.append([x, y])
-    return tuple((at[x], at[y]) for x, y in merged)
-
-
-def natural_from_intervals(
-    raw: Mapping[str, Iterable[tuple[RationalLike, RationalLike]]],
-) -> NaturalSchedule:
-    """Build a natural schedule from raw per-job interval lists, sorting and
-    merging each job's intervals."""
-    return NaturalSchedule({job_id: _merge_intervals(job_id, spans)
-                            for job_id, spans in raw.items()})
 
 
 @dataclass(frozen=True)

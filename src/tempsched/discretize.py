@@ -42,7 +42,6 @@ from .core import (
     as_rational,
     debug,
     loads_from_normal,
-    natural_from_intervals,
     positive_int,
 )
 from .dynamics import FeasibilityReport, check_feasibility
@@ -147,7 +146,7 @@ def time_slice(instance: Instance, schedule: NormalSchedule, k: int) -> NaturalS
             times = [Fraction(base + o, G * k * L) for o in offsets]
             for job_spans, a, b in zip(loaded, times, times[1:]):
                 job_spans.append((a, b))
-    return natural_from_intervals(raw)
+    return NaturalSchedule(raw)
 
 
 def _iterate(a: Fraction, b: Fraction, x: Fraction, r: int) -> Fraction:

@@ -20,7 +20,10 @@ either kind::
     {"kind": "normal", "order": ["j1", "j2"], "C": [...], "W": [[...]]}
 
 In a normal schedule file, W row i gives the cumulative work at C[i] and
-its columns follow the "order" list (column j belongs to order[j]).
+its columns follow the "order" list (column j belongs to order[j]). A
+natural schedule file's spans may come in any order and may overlap or
+touch: they go as read to `NaturalSchedule`, which sorts, merges and
+checks them.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .core import (
     NaturalSchedule,
     NormalSchedule,
     as_rational,
-    natural_from_intervals,
     validate_normal_schedule,
 )
 
@@ -106,6 +108,22 @@ def save_instance(path: Union[str, Path], instance: Instance) -> None:
     _write_json(path, dump_instance(instance))
 
 
+def _matrix(data: Any, name: str, order: tuple[int, ...],
+            shape_error: str) -> tuple[tuple[Fraction, ...], ...]:
+    """An n x n matrix of a normal schedule file, its columns moved from the
+    file's "order" to instance order; `shape_error` is raised when `data`
+    is not n lists of n entries."""
+    n = len(order)
+    if (not isinstance(data, list) or len(data) != n
+            or any(not isinstance(row, list) or len(row) != n for row in data)):
+        raise InputError(shape_error)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rows[i][order[j]] = as_rational(data[i][j], f"{name}[{i}][{j}]")
+    return tuple(tuple(row) for row in rows)
+
+
 def parse_schedule(data: Any, instance: Instance) -> Schedule:
     """Build a schedule from decoded schedule-file JSON, resolving job ids
     against the given instance.
@@ -122,16 +140,10 @@ def parse_schedule(data: Any, instance: Instance) -> Schedule:
         if not isinstance(intervals, dict):
             raise InputError('natural schedule needs an "intervals" object')
         known = set(instance.job_ids)
-        raw = {}
-        for job_id, spans in intervals.items():
+        for job_id in intervals:
             if job_id not in known:
                 raise InputError(f"schedule names unknown job id {job_id!r}")
-            if not isinstance(spans, list) or not all(
-                isinstance(s, list) and len(s) == 2 for s in spans
-            ):
-                raise InputError(f"job {job_id}: intervals must be [start, end] pairs")
-            raw[job_id] = spans
-        return natural_from_intervals(raw)
+        return NaturalSchedule(intervals)
     if kind == "normal":
         order_ids = data.get("order")
         if (not isinstance(order_ids, list) or not all(isinstance(v, str) for v in order_ids)
@@ -139,33 +151,19 @@ def parse_schedule(data: Any, instance: Instance) -> Schedule:
             raise InputError('"order" must list every instance job id exactly once')
         n = instance.n
         c_data = data.get("C")
-        w_data = data.get("W")
         if not isinstance(c_data, list) or len(c_data) != n:
             raise InputError(f'"C" must be a list of {n} completion times')
-        if (not isinstance(w_data, list) or len(w_data) != n
-                or any(not isinstance(row, list) or len(row) != n for row in w_data)):
-            raise InputError(f'"W" must be a {n}x{n} matrix')
         order = tuple(instance.index_of(job_id) for job_id in order_ids)
         completions = tuple(as_rational(v, f"C[{i}]") for i, v in enumerate(c_data))
-        work = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                work[i][order[j]] = as_rational(w_data[i][j], f"W[{i}][{j}]")
+        work = _matrix(data.get("W"), "W", order, f'"W" must be a {n}x{n} matrix')
         t_data = data.get("T")
         temps = None
         if t_data is not None:
-            if (not isinstance(t_data, list) or len(t_data) != n
-                    or any(not isinstance(row, list) or len(row) != n for row in t_data)):
-                raise InputError(f'"T" must be a {n}x{n} matrix when present')
-            temps = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    temps[i][order[j]] = as_rational(t_data[i][j], f"T[{i}][{j}]")
-            temps = tuple(tuple(row) for row in temps)
+            temps = _matrix(t_data, "T", order, f'"T" must be a {n}x{n} matrix when present')
         schedule = NormalSchedule(
             order=order,
             completions=completions,
-            work=tuple(tuple(row) for row in work),
+            work=work,
             temperatures=temps,
         )
         validate_normal_schedule(instance, schedule)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tempsched import Instance, Job, NormalSchedule, natural_from_intervals
+from tempsched import Instance, Job, NaturalSchedule, NormalSchedule
 
 F = Fraction
 
@@ -36,6 +36,6 @@ def twin_optimum() -> NormalSchedule:
 def naive_natural():
     """Alternating full-load schedule: j1 on [0,1) and [4,5), j2 filling the
     gaps, completing at 6."""
-    return natural_from_intervals(
+    return NaturalSchedule(
         {"j1": [(0, 1), (4, 5)], "j2": [(1, 2), (5, 6)]}
     )

@@ -16,8 +16,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from tempsched import (
-    InputError, Instance, Job, LpProblem, NormalSchedule, Trajectory,
-    build_order_lp, dual_bound, loads_from_normal, natural_from_intervals, simulate, solve_lp,
+    InputError, Instance, Job, LpProblem, NaturalSchedule, NormalSchedule, Trajectory,
+    build_order_lp, dual_bound, loads_from_normal, simulate, solve_lp,
     validate_normal_schedule,
 )
 
@@ -87,7 +87,7 @@ def natural_cases(draw):
         if pieces:
             spans[f"j{j}"] = pieces
     instance = Instance(_drawn_jobs(draw, [F(1)] * n))
-    return instance, natural_from_intervals(spans)
+    return instance, NaturalSchedule(spans)
 
 
 def vertex_minimum(problem: LpProblem):
@@ -482,8 +482,8 @@ def reference_report(instance: Instance, traj: Trajectory):
 
 def reference_merge(spans) -> tuple[tuple[Fraction, Fraction], ...]:
     """One job's spans sorted and united by plain `Fraction` comparisons,
-    touching spans fused: the oracle for `natural_from_intervals`, which
-    merges on integers."""
+    touching spans fused: the oracle for the `NaturalSchedule`
+    constructor, which merges on integers."""
     merged = []
     for a, b in sorted(spans):
         assert a < b, (a, b)

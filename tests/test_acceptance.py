@@ -12,6 +12,7 @@ from fractions import Fraction
 from tempsched import (
     Instance,
     Job,
+    NaturalSchedule,
     NormalSchedule,
     build_order_lp,
     check_feasibility,
@@ -22,7 +23,6 @@ from tempsched import (
     gamma_scale,
     min_makespan_over_orders,
     min_makespan_single,
-    natural_from_intervals,
     parse_instance,
     parse_schedule,
     solve_lp,
@@ -58,13 +58,13 @@ def test_criterion_1_golden_sum():
 
 def test_criterion_2_golden_simulation():
     inst = _twin()
-    both = natural_from_intervals(
+    both = NaturalSchedule(
         {"j1": [(0, 1), (4, 5)], "j2": [(1, 2), (5, 6)]}
     )
     report = check_feasibility(inst, both)
     solo = Instance((inst.jobs[0],), 1)
     solo_report = check_feasibility(
-        solo, natural_from_intervals({"j1": [(0, 1), (4, 5)]})
+        solo, NaturalSchedule({"j1": [(0, 1), (4, 5)]})
     )
     ok = (
         report.feasible

@@ -268,7 +268,10 @@ class TestVerifyAndSimulate:
     @pytest.mark.parametrize("span, message", [
         (["3", "2"], "job b: empty or reversed interval [3, 2)"),
         (["0", "x"], "job b: interval end: cannot parse 'x'"),
-    ], ids=["reversed", "unparsable"])
+        (["-1", "1"], "job b: interval starts before t=0"),
+        (["0", "1", "2"], "job b: intervals must be [start, end] pairs"),
+        ("01", "job b: intervals must be [start, end] pairs"),
+    ], ids=["reversed", "unparsable", "negative", "triple", "string"])
     def test_bad_span_names_its_job_exit_2(self, tmp_path, capsys, span, message):
         jobs = [{"id": "a", "p": "1"}, {"id": "b", "p": "1"}]
         inst = _write(tmp_path, "ab.json", {"alpha": "-1", "beta": "1", "jobs": jobs})

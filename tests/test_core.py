@@ -16,7 +16,6 @@ from tempsched import (
     as_rational,
     check_feasibility,
     loads_from_normal,
-    natural_from_intervals,
 )
 
 from .helpers import reference_merge
@@ -282,14 +281,14 @@ class TestNormalScheduleInvariants:
 
 class TestNaturalFromIntervals:
     def test_valid_alternating_schedule(self):
-        sched = natural_from_intervals(
+        sched = NaturalSchedule(
             {"j1": [(0, 1), (4, 5)], "j2": [(1, 2), (5, 6)]}
         )
         assert sched.for_job("j1") == ((F(0), F(1)), (F(4), F(5)))
 
     def test_conflict_on_one_machine(self):
         # Building never judges the machine count; the report flags the overlap.
-        sched = natural_from_intervals({"j1": [(0, 1)], "j2": [(0, 1)]})
+        sched = NaturalSchedule({"j1": [(0, 1)], "j2": [(0, 1)]})
         assert sched.for_job("j2") == ((F(0), F(1)),)
         inst = Instance((Job("j1", 1, -1, 1), Job("j2", 1, -1, 1)), machines=1)
         violations = check_feasibility(inst, sched).violations
@@ -298,29 +297,37 @@ class TestNaturalFromIntervals:
         ]
 
     def test_touching_intervals_merge(self):
-        sched = natural_from_intervals({"j1": [(0, 1), (1, 2)]})
+        sched = NaturalSchedule({"j1": [(0, 1), (1, 2)]})
         assert sched.for_job("j1") == ((F(0), F(2)),)
 
     def test_overlapping_intervals_merge(self):
-        sched = natural_from_intervals({"j1": [(0, 2), (1, 3)]})
+        sched = NaturalSchedule({"j1": [(0, 2), (1, 3)]})
         assert sched.for_job("j1") == ((F(0), F(3)),)
 
     def test_two_machines_allow_overlap(self):
-        sched = natural_from_intervals({"j1": [(0, 1)], "j2": [(0, 1)]})
+        sched = NaturalSchedule({"j1": [(0, 1)], "j2": [(0, 1)]})
         inst = Instance((Job("j1", 1, -1, 1), Job("j2", 1, -1, 1)), machines=2)
         assert check_feasibility(inst, sched).feasible
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(InputError):
-            natural_from_intervals({"j1": [(2, 1)]})
+            NaturalSchedule({"j1": [(2, 1)]})
 
     def test_bad_span_errors_name_the_job(self):
         with pytest.raises(InputError, match="job b: empty or reversed interval"):
-            natural_from_intervals({"a": [("0", "1")], "b": [("3", "2")]})
+            NaturalSchedule({"a": [("0", "1")], "b": [("3", "2")]})
         with pytest.raises(InputError, match="job b: interval start: cannot parse"):
             NaturalSchedule({"a": ((F(0), F(1)),), "b": (("x", F(1)),)})
         with pytest.raises(InputError, match="job b: interval end: cannot parse"):
-            natural_from_intervals({"b": [("0", "1/0")]})
+            NaturalSchedule({"b": [("0", "1/0")]})
+        with pytest.raises(InputError, match="job b: interval starts before t=0"):
+            NaturalSchedule({"a": [(0, 1)], "b": [(1, 2), (F(-1), F(1, 2))]})
+        for spans in (5, [(1, 2, 3)], [1, 2], "", {}):
+            with pytest.raises(InputError, match=r"job a: intervals must be \[start, end\] pairs"):
+                NaturalSchedule({"a": spans})
+        for raw in ({1: [(0, 1)], "b": [(0, 1)]}, {None: [(0, 1)]}):
+            with pytest.raises(InputError, match="job id must be a non-empty string"):
+                NaturalSchedule(raw)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 5),
@@ -329,4 +336,8 @@ class TestNaturalFromIntervals:
     def test_integer_merge_matches_the_fraction_reference(self, drawn):
         # Denominators of 113 put near-touching spans a grid step apart.
         spans = [(F(a, d), F(a, d) + F(w, e)) for a, w, d, e in drawn]
-        assert natural_from_intervals({"j": spans}).for_job("j") == reference_merge(spans)
+        s = NaturalSchedule({"j": spans})
+        assert s.for_job("j") == reference_merge(spans)
+        assert NaturalSchedule(s.intervals) == s
+        halves = [half for a, b in spans for half in ((a, (a + b) / 2), ((a + b) / 2, b))]
+        assert NaturalSchedule({"j": halves[::-1]}) == s

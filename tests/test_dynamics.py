@@ -15,7 +15,6 @@ from tempsched import (
     Trajectory,
     Violation,
     check_feasibility,
-    natural_from_intervals,
     simulate,
 )
 
@@ -26,7 +25,7 @@ F = Fraction
 
 class TestSimulateGoldens:
     def test_single_job_two_bursts(self, solo_instance):
-        sched = natural_from_intervals({"j1": [(0, 1), (4, 5)]})
+        sched = NaturalSchedule({"j1": [(0, 1), (4, 5)]})
         traj = simulate(solo_instance, sched)
         assert traj.breakpoints == (F(0), F(1), F(4), F(5))
         assert traj.temperatures[0] == (F(0), F(1), F(0), F(1))
@@ -52,7 +51,7 @@ class TestSimulateGoldens:
         assert report.objective_sum == 10
 
     def test_late_start_gets_an_idle_first_segment(self, solo_instance):
-        traj = simulate(solo_instance, natural_from_intervals({"j1": [(2, 3)]}))
+        traj = simulate(solo_instance, NaturalSchedule({"j1": [(2, 3)]}))
         assert traj.breakpoints == (F(0), F(2), F(3))
         assert traj.loads == ((F(0), F(1)),)
         assert traj.temperatures[0] == (F(0), F(0), F(1))
@@ -60,7 +59,7 @@ class TestSimulateGoldens:
 
     def test_clamp_inserts_exact_breakpoint(self, solo_instance):
         # cooling from T=1 at rate -1/3 hits zero at t=4, inside [1, 10)
-        sched = natural_from_intervals({"j1": [(0, 1), (10, 11)]})
+        sched = NaturalSchedule({"j1": [(0, 1), (10, 11)]})
         traj = simulate(solo_instance, sched)
         assert traj.breakpoints == (F(0), F(1), F(4), F(10), F(11))
         assert traj.temperatures[0] == (F(0), F(1), F(0), F(0), F(1))
@@ -70,7 +69,7 @@ class TestClampsInOneSegment:
     def test_two_jobs_clamp_at_distinct_instants_while_idle(self):
         # both at T=1 at t=1; idle on [1, 10), a cools at -1 and b at -1/2
         inst = Instance((Job("a", 2, -1, 1), Job("b", 1, F(-1, 2), 1)), machines=2)
-        sched = natural_from_intervals({"a": [(0, 1), (10, 11)], "b": [(0, 1)]})
+        sched = NaturalSchedule({"a": [(0, 1), (10, 11)], "b": [(0, 1)]})
         traj = simulate(inst, sched)
         assert traj.breakpoints == (F(0), F(1), F(2), F(3), F(10), F(11))
         assert traj.temperatures == (
@@ -86,7 +85,7 @@ class TestClampsInOneSegment:
     def test_one_job_clamps_while_the_other_runs(self):
         # a cools from 1 at -1 and reaches 0 at t=2, inside b's run on [1, 3)
         inst = Instance((Job("a", 1, -1, 1), Job("b", 2, -1, F(1, 4))))
-        sched = natural_from_intervals({"a": [(0, 1)], "b": [(1, 3)]})
+        sched = NaturalSchedule({"a": [(0, 1)], "b": [(1, 3)]})
         traj = simulate(inst, sched)
         assert traj.breakpoints == (F(0), F(1), F(2), F(3))
         assert traj.temperatures == (
@@ -99,7 +98,7 @@ class TestClampsInOneSegment:
     def test_two_jobs_clamping_together_share_one_breakpoint(self):
         # a at T=1 cooling at -1 and b at T=1/2 cooling at -1/2 both reach 0 at t=2
         inst = Instance((Job("a", 2, -1, 1), Job("b", 1, F(-1, 2), F(1, 2))), machines=2)
-        sched = natural_from_intervals({"a": [(0, 1), (4, 5)], "b": [(0, 1)]})
+        sched = NaturalSchedule({"a": [(0, 1), (4, 5)], "b": [(0, 1)]})
         traj = simulate(inst, sched)
         assert traj.breakpoints == (F(0), F(1), F(2), F(4), F(5))
         assert traj.temperatures == (
@@ -120,7 +119,7 @@ class TestIntegerGridEdges:
         # from 3/7, reach 0 at 29/35; the rates' lcm R is 48 and D is 7
         inst = Instance((Job("a", 1, F(-5, 4), F(7, 6)), Job("b", 1, F(-35, 48), F(7, 2))),
                         machines=2)
-        sched = natural_from_intervals({"a": [(0, F(3, 7)), (1, F(8, 7))], "b": [(0, F(1, 7))]})
+        sched = NaturalSchedule({"a": [(0, F(3, 7)), (1, F(8, 7))], "b": [(0, F(1, 7))]})
         traj = simulate(inst, sched)
         assert traj.breakpoints == (F(0), F(1, 7), F(3, 7), F(29, 35), F(1), F(8, 7))
         assert traj.temperatures == (
@@ -136,7 +135,7 @@ class TestIntegerGridEdges:
     def test_clamp_at_a_segment_end_adds_no_breakpoint(self):
         # 3/7 at 7/3 heats to 1, and cooling at -7/11 takes 11/7: 0 exactly at t=2
         inst = Instance((Job("a", 1, F(-7, 11), F(7, 3)),))
-        traj = simulate(inst, natural_from_intervals({"a": [(0, F(3, 7)), (2, F(17, 7))]}))
+        traj = simulate(inst, NaturalSchedule({"a": [(0, F(3, 7)), (2, F(17, 7))]}))
         assert traj.breakpoints == (F(0), F(3, 7), F(2), F(17, 7))
         assert traj.temperatures == ((F(0), F(1), F(0), F(1)),)
         assert traj.works == ((F(0), F(3, 7), F(3, 7), F(6, 7)),)
@@ -166,7 +165,7 @@ class TestIntegerGridEdges:
 
 class TestCheckFeasibility:
     def test_continuous_run_overheats(self, solo_instance):
-        sched = natural_from_intervals({"j1": [(0, 2)]})
+        sched = NaturalSchedule({"j1": [(0, 2)]})
         report = check_feasibility(solo_instance, sched)
         assert not report.feasible
         (violation,) = report.violations
@@ -176,7 +175,7 @@ class TestCheckFeasibility:
         assert report.completions == {"j1": F(2)}
 
     def test_temperature_exactly_one_is_feasible(self, solo_instance):
-        sched = natural_from_intervals({"j1": [(0, 1)]})
+        sched = NaturalSchedule({"j1": [(0, 1)]})
         assert check_feasibility(solo_instance, sched).feasible
 
     def test_empty_schedule_reports_missing_completion(self, solo_instance):
@@ -193,13 +192,13 @@ class TestCheckFeasibility:
 
     def test_partial_schedule(self, solo_instance):
         report = check_feasibility(
-            solo_instance, natural_from_intervals({"j1": [(0, 1)]})
+            solo_instance, NaturalSchedule({"j1": [(0, 1)]})
         )
         assert report.feasible
         assert report.missing == ("j1",)
 
     def test_manageability_violation_reported(self, twin_instance):
-        sched = natural_from_intervals(
+        sched = NaturalSchedule(
             {"j1": [(0, 2)], "j2": [(1, 3)]}
         )
         report = check_feasibility(twin_instance, sched)
@@ -211,7 +210,7 @@ class TestCheckFeasibility:
         inst = Instance(tuple(
             Job(i, p, F(-1), F(1, 4)) for i, p in (("a", 2), ("b", 2), ("c", 1))
         ))
-        sched = natural_from_intervals({"c": [(0, 1)], "a": [(1, 3)], "b": [(1, 3)]})
+        sched = NaturalSchedule({"c": [(0, 1)], "a": [(1, 3)], "b": [(1, 3)]})
         report = check_feasibility(inst, sched)
         assert F(5, 4) in report.trajectory.breakpoints
         assert [(v.kind, v.time) for v in report.violations] == [("manageability", 1)]
@@ -249,7 +248,7 @@ class TestTrajectoryInvariants:
                 t = start + length
             if pieces:
                 spans[job.id] = pieces
-        return natural_from_intervals(spans)
+        return NaturalSchedule(spans)
 
     def _instances(self, rng, count):
         for _ in range(count):
@@ -358,7 +357,7 @@ def oracle_cases(draw):
             first = jobs[0]
             jobs += (Job("twin", first.p, first.alpha, first.beta),)
             spans["twin"] = spans.get(first.id, [])
-        schedule = natural_from_intervals(spans)
+        schedule = NaturalSchedule(spans)
     return Instance(jobs, machines=draw(st.integers(1, 3))), schedule
 
 
@@ -369,7 +368,7 @@ _TINY = F(1, 10**30)
 @given(oracle_cases())
 @example((  # twins on one machine: an overload, and two jobs reaching 0 together
     Instance((Job("a", 1, F(-5, 4), F(7, 6)), Job("b", 1, F(-5, 4), F(7, 6)))),
-    natural_from_intervals({j: [(0, 3 * _TINY), (1, 2 - _TINY)] for j in "ab"})))
+    NaturalSchedule({j: [(0, 3 * _TINY), (1, 2 - _TINY)] for j in "ab"})))
 @example((  # two machines, loads above 1 on a grid of 10**30
     Instance((Job("a", 3, F(-1, 10), F(1, 10)), Job("b", F(1, 2), F(-1, 2), 1)), machines=2),
     NormalSchedule((1, 0), (1 + _TINY, F(2)), ((F(3, 2), F(1, 2)), (F(3), F(1, 2))))))

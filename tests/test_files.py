@@ -16,7 +16,6 @@ from tempsched import (
     dump_schedule,
     load_instance,
     load_schedule,
-    natural_from_intervals,
     parse_instance,
     parse_schedule,
     save_instance,
@@ -95,7 +94,7 @@ class TestInstanceFiles:
 
 class TestScheduleFiles:
     def test_natural_round_trip(self, tmp_path, twin_instance):
-        sched = natural_from_intervals(
+        sched = NaturalSchedule(
             {"j1": [(0, 1), (4, 5)], "j2": [(F(1), F(355, 113))]}
         )
         path = tmp_path / "nat.json"

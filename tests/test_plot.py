@@ -11,7 +11,6 @@ from tempsched import (
     Trajectory,
     emit_csv,
     emit_svg,
-    natural_from_intervals,
     simulate,
 )
 
@@ -23,7 +22,7 @@ F = Fraction
 class TestCsv:
     def test_golden_single_job(self, solo_instance, tmp_path):
         traj = simulate(
-            solo_instance, natural_from_intervals({"j1": [(0, 1), (4, 5)]})
+            solo_instance, NaturalSchedule({"j1": [(0, 1), (4, 5)]})
         )
         path = tmp_path / "traj.csv"
         emit_csv(traj, path)
