@@ -133,7 +133,8 @@ def _cmd_verify(args) -> int:
     schedule = load_schedule(args.schedule, instance)
     report = check_feasibility(instance, schedule)
     _print_report(instance, report)
-    _emit_artifacts(report.trajectory, args.csv, args.svg)
+    if args.csv or args.svg:
+        _emit_artifacts(simulate(instance, schedule), args.csv, args.svg)
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 

@@ -15,7 +15,6 @@ schedule loads more than `m` jobs at once.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
@@ -325,7 +324,8 @@ class Trajectory:
     breakpoints every job's load is constant and its temperature linear.
     `loads[j][k]` applies on [breakpoints[k], breakpoints[k+1]);
     `temperatures[j][k]` and `works[j][k]` are values at breakpoints[k].
-    An all-idle schedule yields an empty breakpoint list.
+    An all-idle schedule yields an empty breakpoint list. Not re-checked:
+    `simulate` builds the breakpoints increasing and every row to size.
     """
 
     job_ids: tuple[str, ...]
@@ -333,21 +333,6 @@ class Trajectory:
     loads: tuple[tuple[Fraction, ...], ...]
     temperatures: tuple[tuple[Fraction, ...], ...]
     works: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        k = len(self.breakpoints)
-        for prev, cur in itertools.pairwise(self.breakpoints):
-            if prev >= cur:
-                raise InputError("trajectory breakpoints must be strictly increasing")
-        for label, series in (("temperatures", self.temperatures), ("works", self.works)):
-            if len(series) != len(self.job_ids):
-                raise InputError(f"{label} must have one row per job")
-            if any(len(row) != k for row in series):
-                raise InputError(f"{label} rows must match the breakpoint count")
-        if len(self.loads) != len(self.job_ids):
-            raise InputError("loads must have one row per job")
-        if any(len(row) != max(k - 1, 0) for row in self.loads):
-            raise InputError("loads rows must have one entry per segment")
 
     @property
     def end(self) -> Fraction:

@@ -3,6 +3,7 @@
 The vertex enumerator here shares no code with the simplex solver: it
 row-reduces the equality system by plain Gaussian elimination and then
 tries every basis subset, so agreement between the two is meaningful.
+It also holds the seeded random instance generator the tests share.
 """
 
 from __future__ import annotations
@@ -537,3 +538,45 @@ def reference_emit_csv(trajectory: Trajectory, path) -> None:
                 load = trajectory.loads[j][k] if k < nseg else F(0)
                 row += [dec(load), dec(trajectory.temperatures[j][k])]
             writer.writerow(row)
+
+
+def random_rational(
+    rng: random.Random, lo: int = 1, hi: int = 8, max_den: int = 4
+) -> Fraction:
+    """A positive rational with a small numerator and denominator."""
+    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+
+
+def random_instance(
+    rng: random.Random,
+    n: int,
+    machines: int = 1,
+    *,
+    common_rates: bool = True,
+    max_p: int = 10,
+    max_rate: int = 5,
+    max_den: int = 4,
+) -> Instance:
+    """A random normalized instance with small-denominator rationals.
+
+    With common_rates every job shares one (alpha, beta) pair, matching the
+    setting where the shortest-processing-time guarantee applies.
+    """
+
+    def rates() -> tuple[Fraction, Fraction]:
+        return (
+            -random_rational(rng, 1, max_rate, max_den),
+            random_rational(rng, 1, max_rate, max_den),
+        )
+
+    shared = rates()
+    jobs = []
+    for i in range(n):
+        alpha, beta = shared if common_rates else rates()
+        jobs.append(Job(
+            id=f"j{i + 1}",
+            p=random_rational(rng, 1, max_p, max_den),
+            alpha=alpha,
+            beta=beta,
+        ))
+    return Instance(tuple(jobs), machines)

@@ -32,9 +32,8 @@ from tempsched import (
     time_slice,
 )
 from tempsched.cli import main as cli_main
-from tempsched.generate import random_instance
 
-from .helpers import lemma_assignment, sequential_full_speed
+from .helpers import lemma_assignment, random_instance, sequential_full_speed
 
 F = Fraction
 

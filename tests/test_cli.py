@@ -249,6 +249,15 @@ class TestVerifyAndSimulate:
         assert len(calls) == 1
         assert csv_path.exists() and svg_path.exists()
 
+    def test_verify_without_artifacts_simulates_nothing(self, twin_file, tmp_path, monkeypatch):
+        def no_simulate(*args):
+            raise AssertionError("verify without --csv or --svg builds no trajectory")
+
+        monkeypatch.setattr(dynamics, "simulate", no_simulate)
+        monkeypatch.setattr(cli, "simulate", no_simulate)
+        sched = _write(tmp_path, "nat.json", NAIVE_NATURAL)
+        assert main(["verify", twin_file, sched]) == 0
+
     @UNDECODABLE
     def test_undecodable_schedule_exit_2(self, twin_file, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
@@ -303,26 +312,31 @@ class TestDiscretize:
         assert main(["verify", twin_file, str(out)]) == 0
 
     def test_auto_simulates_each_trial_once(self, twin_file, tmp_path, monkeypatch, capsys):
-        simulations, slicings = [], []
-        simulate, time_slice = dynamics.simulate, discretize.time_slice
+        checks, slicings = [], []
+        check, time_slice = discretize.check_feasibility, discretize.time_slice
 
-        def counting_simulate(*args):
-            simulations.append(args)
-            return simulate(*args)
+        def counting_check(*args):
+            checks.append(args)
+            return check(*args)
 
         def counting_slice(*args):
             slicings.append(args)
             return time_slice(*args)
 
-        monkeypatch.setattr(dynamics, "simulate", counting_simulate)
+        def no_simulate(*args):
+            raise AssertionError("discretize --auto builds no trajectory")
+
+        monkeypatch.setattr(discretize, "check_feasibility", counting_check)
         monkeypatch.setattr(discretize, "time_slice", counting_slice)
+        monkeypatch.setattr(dynamics, "simulate", no_simulate)
+        monkeypatch.setattr(cli, "simulate", no_simulate)
         sched = _write(tmp_path, "opt.json", OPTIMUM_NORMAL)
         assert main(["discretize", twin_file, sched, "--gamma", "101/100", "--auto"]) == 0
         assert "k: 64" in capsys.readouterr().out
         # the closed form rejects k = 1, ..., 32 without slicing; only the
-        # accepted k = 64 is sliced, and simulated after the input schedule
+        # accepted k = 64 is sliced, and checked after the input schedule
         assert len(slicings) == 1
-        assert len(simulations) == 2
+        assert len(checks) == 2
 
     def test_gamma_at_most_one_exit_2(self, twin_file, tmp_path):
         sched = _write(tmp_path, "opt.json", OPTIMUM_NORMAL)

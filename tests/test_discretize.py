@@ -24,10 +24,10 @@ from tempsched import (
     time_slice,
 )
 from tempsched.discretize import MAX_SLICE_SPANS, _peak, _sliceable_segments
-from tempsched.generate import random_instance
 
 from .helpers import (
-    normal_cases, reference_time_slice, sequential_full_speed, small_rationals, work_at,
+    normal_cases, random_instance, reference_time_slice, sequential_full_speed,
+    small_rationals, work_at,
 )
 
 F = Fraction
@@ -219,10 +219,10 @@ class TestSlicedPeak:
     @example((*TWIN_STRETCHED, 64))
     def test_closed_form_agrees_with_the_simulator(self, case):
         instance, schedule, k = case
-        report = check_feasibility(instance, time_slice(instance, schedule, k))
+        natural = time_slice(instance, schedule, k)
         peak = _peak(instance.jobs, _sliceable_segments(schedule), k)
-        assert (peak > 1) == (not report.feasible)
-        assert peak == max(t for row in report.trajectory.temperatures for t in row)
+        assert (peak > 1) == (not check_feasibility(instance, natural).feasible)
+        assert peak == max(t for row in simulate(instance, natural).temperatures for t in row)
 
 
 @st.composite

@@ -152,13 +152,14 @@ class TestIntegerGridEdges:
         inst = Instance((Job("a", 3, F(-1, 10), F(1, 10)), Job("b", F(1, 2), F(-1, 2), 1)),
                         machines=2)
         sched = NormalSchedule((1, 0), (F(1), F(2)), ((F(3, 2), F(1, 2)), (F(3), F(1, 2))))
-        report = check_feasibility(inst, sched)
-        assert report.trajectory.breakpoints == (F(0), F(1), F(3, 2), F(2))
-        assert report.trajectory.loads == ((F(3, 2),) * 3, (F(1, 2), F(0), F(0)))
-        assert report.trajectory.temperatures == (
+        traj = simulate(inst, sched)
+        assert traj.breakpoints == (F(0), F(1), F(3, 2), F(2))
+        assert traj.loads == ((F(3, 2),) * 3, (F(1, 2), F(0), F(0)))
+        assert traj.temperatures == (
             (F(0), F(1, 5), F(3, 10), F(2, 5)),
             (F(0), F(1, 4), F(0), F(0)),
         )
+        report = check_feasibility(inst, sched)
         assert report.violations == (Violation("a", F(0), "per-job-rate"),)
         assert report.completions == {"a": F(2), "b": F(1)}
 
@@ -187,8 +188,9 @@ class TestCheckFeasibility:
             assert report.completions == {}
             assert report.objective_sum is None
             assert report.makespan is None
-            assert report.trajectory.breakpoints == ()
-            assert report.trajectory.loads == ((),)
+            traj = simulate(solo_instance, sched)
+            assert traj.breakpoints == ()
+            assert traj.loads == ((),)
 
     def test_partial_schedule(self, solo_instance):
         report = check_feasibility(
@@ -212,7 +214,7 @@ class TestCheckFeasibility:
         ))
         sched = NaturalSchedule({"c": [(0, 1)], "a": [(1, 3)], "b": [(1, 3)]})
         report = check_feasibility(inst, sched)
-        assert F(5, 4) in report.trajectory.breakpoints
+        assert F(5, 4) in simulate(inst, sched).breakpoints
         assert [(v.kind, v.time) for v in report.violations] == [("manageability", 1)]
 
     def test_rate_cap_on_two_machines(self):
@@ -372,6 +374,16 @@ _TINY = F(1, 10**30)
 @example((  # two machines, loads above 1 on a grid of 10**30
     Instance((Job("a", 3, F(-1, 10), F(1, 10)), Job("b", F(1, 2), F(-1, 2), 1)), machines=2),
     NormalSchedule((1, 0), (1 + _TINY, F(2)), ((F(3, 2), F(1, 2)), (F(3), F(1, 2))))))
+@example((  # c overloads one machine on [1, 2) and [2, 3) at equal loads: one violation
+    Instance((Job("a", F(1, 2), -1, 1), Job("b", F(1, 2), -1, 1), Job("c", 3, -1, F(1, 4)))),
+    NormalSchedule((0, 1, 2), (1, 2, 3), ((F(1, 2), F(1, 2), 0), (F(1, 2), F(1, 2), F(3, 2)),
+                                          (F(1, 2), F(1, 2), 3)))))
+@example((  # a's work reaches p = 3/7 at t = 3/7, a segment end; a runs again from t = 1
+    Instance((Job("a", F(3, 7), -1, 1), Job("b", 1, -1, F(1, 2))), machines=2),
+    NaturalSchedule({"a": [(0, F(3, 7)), (1, F(8, 7))], "b": [(F(1, 7), F(8, 7))]})))
+@example((  # a is above 1 from t = 7/4; the first breakpoint past that is b's clamp at t = 2
+    Instance((Job("a", 1, -1, 4), Job("b", 1, -1, 1))),
+    NaturalSchedule({"a": [(F(3, 2), F(5, 2))], "b": [(0, 1)]})))
 def test_integer_simulation_matches_the_fraction_reference(case):
     inst, sched = case
     expected = reference_simulate(inst, sched)

@@ -21,9 +21,8 @@ from tempsched import (
     save_instance,
     save_schedule,
 )
-from tempsched.generate import random_instance
 
-from .helpers import natural_cases, normal_cases
+from .helpers import natural_cases, normal_cases, random_instance
 
 F = Fraction
 

@@ -25,9 +25,10 @@ from tempsched import (
     solve_lp,
 )
 from tempsched.duals import OrderDual
-from tempsched.generate import random_instance
 
-from .helpers import certified, lp_columns, lp_rows, threshold_edge_instances
+from .helpers import (
+    certified, lp_columns, lp_rows, random_instance, threshold_edge_instances,
+)
 
 F = Fraction
 

@@ -18,10 +18,10 @@ from tempsched import (
     simplex,
     solve_lp,
 )
-from tempsched.generate import random_instance
 
 from .helpers import (
-    certified, feasible_start, random_small_lp, threshold_edge_instances, vertex_minimum,
+    certified, feasible_start, random_instance, random_small_lp, threshold_edge_instances,
+    vertex_minimum,
 )
 
 F = Fraction

@@ -29,9 +29,8 @@ from tempsched import (
     solvers,
     time_slice,
 )
-from tempsched.generate import random_instance
 
-from .helpers import plain_best_order
+from .helpers import plain_best_order, random_instance
 
 F = Fraction
 

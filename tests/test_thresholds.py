@@ -19,9 +19,8 @@ from tempsched import (
     solve_sum_bruteforce,
     time_slice,
 )
-from tempsched.generate import random_instance
 
-from .helpers import sequential_full_speed
+from .helpers import random_instance, sequential_full_speed
 
 F = Fraction
 
