@@ -107,7 +107,7 @@ class LpProblem:
 
     def objective_value(self, x: Sequence[Fraction]) -> Fraction:
         self._check_point(x)
-        return sum((c * xi for c, xi in zip(self.objective, x)), Fraction(0))
+        return sum((c * xi for c, xi in zip(self.objective, x) if c and xi), Fraction(0))
 
 
 @dataclass(frozen=True)

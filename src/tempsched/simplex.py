@@ -270,10 +270,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if status != "optimal":
         return LpSolution(status, None, ())
 
-    x = [Fraction(0)] * nstruct
+    zero = Fraction(0)
+    x = [zero] * nstruct
     for row, b in zip(rows, basis):
         if b < nstruct:
             x[b] = Fraction(row.get(rhs_col, 0), row[b])
     scale = cost[scale_col]
-    y = tuple(Fraction(-cost.get(u, 0), scale) for u in units)
+    y = tuple(Fraction(-cost[u], scale) if u in cost else zero for u in units)
     return LpSolution("optimal", problem.objective_value(x), tuple(x), y)

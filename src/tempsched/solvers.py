@@ -26,7 +26,6 @@ from .lp import (
     NoScheduleError,
     Objective,
     build_order_lp,
-    dual_bound,
     extract_schedule,
 )
 from .simplex import solve_lp
@@ -82,8 +81,10 @@ def _best_order(
     be a strictly better optimum, so the first optimum, and its solution,
     are those of a plain enumeration. Each pooled `y` is a `duals.OrderDual`,
     which reads that test off the order, so an order's LP is built only
-    when it is solved. A solved LP's duals join the pool once `dual_bound`
-    certifies them on that LP, and the pool lives only as long as the call.
+    when it is solved. A solved LP's duals join the pool when their own
+    `OrderDual.bound` of the solved order equals its value: by that bound's
+    contract this is `dual_bound`'s certificate on the built LP, made
+    without a second pass over it. The pool lives only as long as the call.
 
     Logs one DEBUG event to the `tempsched` logger: the orders enumerated,
     the LPs solved (the guide's included) and the orders pruned.
@@ -101,12 +102,12 @@ def _best_order(
     pool: list[OrderDual] = []
 
     def solve(order):
-        problem = build_order_lp(instance, order, objective)
-        solution = solve_lp(problem)
+        solution = solve_lp(build_order_lp(instance, order, objective))
         if solution.status != "optimal":
             raise NoScheduleError(f"order LP {order} is {solution.status}")
-        if dual_bound(problem, solution.y) == solution.value:
-            pool.append(OrderDual(instance, objective, solution.y))
+        dual = OrderDual(instance, objective, solution.y)
+        if dual.bound(order) == solution.value:
+            pool.append(dual)
         return solution
 
     guide = spt_order(instance)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -296,6 +297,42 @@ class TestOrderDual:
                     assert reader.bound(order) == expected, (inst, objective, order, y)
                     found.append(expected is None)
         assert len(found) == 3672 and 0 < sum(found) < len(found)
+
+    def test_bound_equals_dual_bound_on_unlike_scales_and_int_duals(self):
+        # alpha, beta - alpha and p have denominators 3, 5 and 7, so the
+        # scales A, G and P differ from each other and from the duals' Y
+        jobs = [("a", F(9, 7), F(-1, 3), F(6, 5)), ("b", F(26, 7), F(-2, 3), F(7, 5)),
+                ("c", F(12, 7), F(-4, 3), F(17, 5)), ("d", F(17, 7), F(-5, 3), F(11, 5))]
+        inst = Instance(tuple(Job(k, p, a, a + g) for k, p, a, g in jobs), 2)
+        n, m = 4, 2
+        rows = constraint_count(n, m)
+        # plain ints: -1 on the done and cap rows is dual feasible for every
+        # order; adding -1 on temp_step_2_j leaves D_2 room for the alpha
+        # terms of positions 2..4 only when job c or d completes first
+        flat = [0] * rows
+        for j in range(2, n + 1):
+            flat[lp._row_done(j)] = -1
+        for i, j in itertools.combinations_with_replacement(range(1, n + 1), 2):
+            flat[lp._row_cap(n, m, i, j)] = -1
+        stepped = list(flat)
+        for j in range(2, n + 1):
+            stepped[lp._row_step(n, m, 2, j)] = -1
+        found = []
+        for objective in ("sum", "makespan"):
+            y = solve_lp(build_order_lp(inst, (2, 0, 3, 1), objective)).y
+            assert math.lcm(*(v.denominator for v in y)) not in (1, 3, 5, 7)
+            duals = [y, tuple(v / 2 for v in y), tuple(flat), tuple(stepped), (0,) * rows]
+            readers = [OrderDual(inst, objective, dual) for dual in duals]
+            for order in itertools.permutations(range(n)):
+                problem = build_order_lp(inst, order, objective)
+                for reader, dual in zip(readers, duals):
+                    expected = dual_bound(problem, dual)
+                    assert reader.bound(order) == expected, (objective, order, dual)
+                    found.append(expected)
+                flat_bound, stepped_bound, zero_bound = (r.bound(order) for r in readers[2:])
+                assert flat_bound is not None and zero_bound == 0
+                assert (stepped_bound is None) == (objective == "makespan" or order[0] < 2)
+        assert 0 < found.count(None) < len(found)
 
     def test_foreign_length_gives_none(self, twin_instance):
         assert OrderDual(twin_instance, "sum", (F(0),) * 8).bound((0, 1)) is None

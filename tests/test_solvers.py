@@ -163,6 +163,30 @@ class TestPruning:
         assert len(built) == len(solved)
         assert built.count(spt_order(inst)) == 1
 
+    # (seed, m, common rates) -> (LPs solved, orders pruned) of the sum's
+    # search, then of the makespan's, on random_instance(Random(seed), 5, m)
+    SEARCH_COUNTS = {
+        (1, 1, True): (1, 119, 5, 116), (1, 2, True): (5, 115, 5, 116),
+        (2, 1, True): (1, 119, 2, 119), (2, 2, True): (2, 118, 5, 116),
+        (3, 1, True): (1, 119, 2, 119), (3, 2, True): (3, 117, 4, 117),
+        (1, 1, False): (60, 61, 2, 119), (1, 2, False): (28, 93, 5, 116),
+        (2, 1, False): (20, 100, 5, 116), (2, 2, False): (15, 105, 5, 116),
+        (3, 1, False): (23, 98, 5, 116), (3, 2, False): (22, 99, 5, 116),
+    }
+
+    def test_search_counts_are_pinned(self, caplog):
+        # A weaker admission to the pool or a bound on the wrong scale shows
+        # as a count change, even where the answer stays right.
+        expected = []
+        with caplog.at_level(logging.DEBUG, logger="tempsched"):
+            for (seed, m, common), (s1, p1, s2, p2) in self.SEARCH_COUNTS.items():
+                inst = random_instance(random.Random(seed), 5, m, common_rates=common)
+                solve_sum_bruteforce(inst)
+                min_makespan_over_orders(inst)
+                expected += [("sum", 120, s1, p1), ("makespan", 120, s2, p2)]
+        events = [r.args for r in caplog.records if r.getMessage().startswith("best order")]
+        assert events == expected
+
     def test_one_debug_event_per_search(self, caplog, twin_instance):
         with caplog.at_level(logging.DEBUG, logger="tempsched"):
             solve_sum_bruteforce(twin_instance)
